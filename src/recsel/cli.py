@@ -17,6 +17,7 @@ import hashlib
 import json
 import os
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -49,6 +50,13 @@ def _load_sequence(path: str, column: str | None = None) -> np.ndarray:
     p = Path(path)
     if not p.exists():
         raise DataError(f"input file not found: {path}")
+    try:
+        return _read_sequence(p, path, column)
+    except (OSError, UnicodeDecodeError) as exc:
+        raise DataError(_unreadable("input", path, exc)) from None
+
+
+def _read_sequence(p: Path, path: str, column: str | None) -> np.ndarray:
     if column is not None:
         with open(p, newline="", encoding="utf-8") as fh:
             reader = csv.DictReader(fh)
@@ -66,6 +74,20 @@ def _load_sequence(path: str, column: str | None = None) -> np.ndarray:
         if not values:
             raise DataError(f"column {column!r} of {path} holds no values")
         return np.asarray(values)
+    # numpy's C parser reads the common file.  The per-line loop below is the
+    # definition: it runs whenever that parser refuses the file (invalid UTF-8
+    # included), finds no values or splits a line into several tokens, so it
+    # names the offending line and accepts every spelling float() takes
+    # (1_000, non-ASCII digits).  ndmin=2 keeps a one-line file of several
+    # tokens from passing as a column.
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+        try:
+            parsed = np.loadtxt(p, dtype=float, comments="#", ndmin=2, encoding="utf-8")
+        except ValueError:
+            parsed = None
+    if parsed is not None and parsed.shape[0] > 0 and parsed.shape[1] == 1:
+        return parsed.ravel()
     values = []
     with open(p, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -81,6 +103,12 @@ def _load_sequence(path: str, column: str | None = None) -> np.ndarray:
     return np.asarray(values)
 
 
+def _unreadable(what: str, path, exc: OSError | UnicodeDecodeError) -> str:
+    if isinstance(exc, UnicodeDecodeError):
+        return f"{what} file {path} is not UTF-8 text"
+    return f"cannot read {what} file {path}: {exc.strerror or exc}"
+
+
 def _load_family(text: str) -> tuple[families.FamilySpec, Path | None]:
     """Accept inline JSON, a path to a JSON file, or the name of a bundled
     dataset family (currently 'lacc-rainfall-records')."""
@@ -92,7 +120,11 @@ def _load_family(text: str) -> tuple[families.FamilySpec, Path | None]:
     p = Path(text)
     if not p.exists():
         raise UsageError(f"family file not found: {text}")
-    return families.from_json(p.read_text(encoding="utf-8")), p
+    try:
+        doc = p.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise UsageError(_unreadable("family", text, exc)) from None
+    return families.from_json(doc), p
 
 
 def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
@@ -198,7 +230,11 @@ def _load_simulation_config(path: str, seed_override: int | None) -> tuple[monte
     if not p.exists():
         raise UsageError(f"config file not found: {path}")
     try:
-        doc = json.loads(p.read_text(encoding="utf-8"))
+        text = p.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise UsageError(_unreadable("config", path, exc)) from None
+    try:
+        doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise UsageError(f"config JSON does not parse: {exc}") from exc
     try:

@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 from . import families
 from .errors import DomainError, NumericError, UsageError
@@ -205,6 +204,9 @@ def risk_general_phr(V, u_prev: float, u_curr: float, family: families.FamilySpe
 
 
 def _quad(fn, a: float, b: float, epsabs: float, epsrel: float) -> float:
+    # imported on first use: no CLI subcommand reaches quadrature
+    from scipy.integrate import quad
+
     if a == b:
         return 0.0
     out = quad(fn, a, b, epsabs=epsabs, epsrel=epsrel, limit=QUAD_LIMIT, full_output=True)

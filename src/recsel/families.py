@@ -21,7 +21,6 @@ from dataclasses import dataclass, field
 from types import MappingProxyType
 
 import numpy as np
-from scipy import stats
 
 from .errors import DomainError, UsageError
 
@@ -236,17 +235,6 @@ def s_transform(family: FamilySpec, x):
     else:  # pragma: no cover - constructor prevents this
         raise UsageError(f"no transform for {m.value}")
     return out if np.ndim(x) else float(out)
-
-
-def s_monotonicity(family: FamilySpec) -> str:
-    """'increasing', 'decreasing' or 'none' on the support."""
-    if family.kind != Kind.GAMMA_TYPE:
-        raise UsageError("s_monotonicity applies to gamma-type families only")
-    if family.member == Member.NORMAL_ZERO_MEAN:
-        return "none"
-    if family.member == Member.INVERSE_GAUSSIAN:
-        return "decreasing"
-    return "increasing"
 
 
 def _s_inverse(family: FamilySpec, y, rng: np.random.Generator | None):
@@ -479,7 +467,12 @@ def pdf(family: FamilySpec, theta: float, x):
 
 
 def _m1_dist(family: FamilySpec, theta: float):
-    """Frozen scipy distribution matching the gamma-type member."""
+    """Frozen scipy distribution matching the gamma-type member.
+
+    scipy.stats is imported here, its only use, so that importing the
+    package (and every CLI subcommand) does not pay for it."""
+    from scipy import stats
+
     m = family.member
     if m == Member.EXPONENTIAL:
         return stats.expon(scale=theta)

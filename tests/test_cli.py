@@ -1,12 +1,21 @@
 """Command-line surface: file formats, exit codes, manifests, determinism."""
 
 import json
-
+import os
+import subprocess
+import sys
+import textwrap
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import recsel
 from recsel import cli, datasets, stationarity
+from recsel.errors import DataError
 
 RAINFALL = datasets.RAINFALL_RECORD_VALUES
 RAIN_FAMILY = '{"kind": "proportional_hazard", "member": "custom", "params": {"custom_H": {"shift": 4, "power": 1.9, "scale": 1}}}'
@@ -262,3 +271,167 @@ class TestDemoRainfall:
         assert (out / "rainfall_records.csv").exists()
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["subcommand"] == "demo-rainfall"
+
+
+class TestUnreadablePaths:
+    """A path that exists but cannot be read as UTF-8 text gives the
+    documented exit code (3 for input data, 2 for config and family files)."""
+
+    @pytest.fixture
+    def paths(self, tmp_path):
+        folder = tmp_path / "folder"
+        folder.mkdir()
+        latin1 = tmp_path / "latin1.txt"
+        latin1.write_bytes(b"1.0\n\xff\xfe\n2.0\n")
+        latin1_csv = tmp_path / "latin1.csv"
+        latin1_csv.write_bytes(b"rain\n1.0\n\xff\n")
+        return {"<folder>": folder, "<latin1>": latin1, "<latin1_csv>": latin1_csv}
+
+    @pytest.mark.parametrize("argv, code", [
+        (["records", "--input", "<folder>"], 3),
+        (["records", "--input", "<latin1>"], 3),
+        (["records", "--input", "<latin1_csv>", "--column", "rain"], 3),
+        (["test", "--input", "<folder>", "--family", RAIN_FAMILY], 3),
+        (["simulate", "--config", "<folder>"], 2),
+        (["simulate", "--config", "<latin1>"], 2),
+        (["estimate", "--input", "lacc-rainfall-records", "--family", "<folder>"], 2),
+        (["estimate", "--input", "lacc-rainfall-records", "--family", "<latin1>"], 2),
+    ])
+    def test_exit_code(self, paths, tmp_path, capsys, argv, code):
+        argv = [str(paths.get(a, a)) for a in argv]
+        assert run(*argv, "--out", str(tmp_path / "o")) == code
+        err = capsys.readouterr().err
+        assert err.startswith("data error:" if code == 3 else "usage error:")
+
+
+IMPORT_GUARD = textwrap.dedent("""
+    import json, sys
+    from pathlib import Path
+
+    import recsel
+    from recsel import cli
+
+    work = Path(sys.argv[1])
+    fam = sys.argv[2]
+    runs = [
+        ["records", "--input", "lacc-rainfall-records"],
+        ["estimate", "--input", "lacc-rainfall-records", "--family", fam],
+        ["test", "--input", "lacc-rainfall-records", "--family", fam, "--reps", "2000"],
+        ["critvals", "--n-min", "2", "--n-max", "3", "--reps", "2000"],
+        ["demo-rainfall", "--reps", "2000"],
+        ["simulate", "--config", str(work / "config.json")],
+    ]
+    codes = [cli.main(argv + ["--out", str(work / str(i))]) for i, argv in enumerate(runs)]
+    print(json.dumps({"codes": codes,
+                      "scipy": sorted(m for m in sys.modules if m.split(".")[0] == "scipy")}))
+""")
+
+
+def test_cli_subcommands_do_not_import_scipy(tmp_path):
+    """No subcommand needs scipy; only quadrature risk and the gamma-type
+    cdf/pdf import it, on first use."""
+    import importlib.resources as res
+
+    doc = json.loads(res.files("recsel").joinpath("data/configs/table1_scheme1_p05.json").read_text())
+    doc["replications"] = 200
+    (tmp_path / "config.json").write_text(json.dumps(doc), encoding="utf-8")
+    src = str(Path(recsel.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", IMPORT_GUARD, str(tmp_path), RAIN_FAMILY],
+                          env=env, capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert result["codes"] == [0] * 6
+    assert result["scipy"] == []
+
+
+def reference_load(path):
+    """The plain-text loader's per-line loop: the definition the fast path
+    must reproduce, value for value and error for error."""
+    values = []
+    with open(path, encoding="utf-8") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            line = raw.split("#", 1)[0].strip()
+            if not line:
+                continue
+            try:
+                values.append(float(line))
+            except ValueError:
+                raise DataError(f"{path}:{lineno}: cannot parse {line!r} as a number") from None
+    if not values:
+        raise DataError(f"{path} holds no values")
+    return np.asarray(values)
+
+
+def load_outcome(load, path):
+    try:
+        values = load(path)
+    except DataError as exc:
+        return "error", str(exc)
+    assert values.dtype == np.float64 and values.ndim == 1
+    return "values", values.view(np.int64).tolist()
+
+
+PAD = st.sampled_from(["", " ", "\t", "  \t "])
+NUMBER_LINE = st.builds(
+    lambda pre, v, fmt, post, note: pre + fmt(v) + post + note,
+    PAD, st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([repr, lambda v: format(v, ".6g")]), PAD,
+    st.sampled_from(["", "# note", " #1.5", "#"]))
+COMMENT_TEXT = st.text(st.characters(blacklist_characters="\r\n", blacklist_categories=("Cs",)))
+FILLER_LINE = st.one_of(PAD, st.builds(lambda pre, c: pre + "#" + c, PAD, COMMENT_TEXT))
+
+
+@st.composite
+def sequence_files(draw):
+    lines = draw(st.lists(st.one_of(NUMBER_LINE, FILLER_LINE), max_size=30))
+    lines.insert(draw(st.integers(0, len(lines))), draw(NUMBER_LINE))
+    ending = draw(st.sampled_from(["\n", "\r\n"]))
+    return ending.join(lines) + draw(st.sampled_from(["", ending]))
+
+
+class TestLoaderMatchesReference:
+    @given(text=sequence_files())
+    @settings(max_examples=200, deadline=None)
+    def test_numeric_files_bit_for_bit(self, tmp_path_factory, text):
+        path = tmp_path_factory.mktemp("seq") / "s.txt"
+        path.write_text(text, encoding="utf-8", newline="")
+        ours = cli._load_sequence(str(path))
+        ref = reference_load(str(path))
+        assert np.array_equal(ours.view(np.int64), ref.view(np.int64))
+
+    @given(lines=st.lists(st.text(), max_size=8))
+    @settings(max_examples=300, deadline=None)
+    def test_arbitrary_text_same_outcome(self, tmp_path_factory, lines):
+        path = tmp_path_factory.mktemp("seq") / "s.txt"
+        path.write_text("\n".join(lines), encoding="utf-8", newline="")
+        assert load_outcome(cli._load_sequence, str(path)) == load_outcome(reference_load, str(path))
+
+    @pytest.mark.parametrize("text", ["1 2\n3 4\n", "1 2\n"])
+    def test_two_tokens_per_line_names_the_first_line(self, tmp_path, text):
+        path = tmp_path / "pairs.txt"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(DataError) as exc:
+            cli._load_sequence(str(path))
+        assert str(exc.value) == f"{path}:1: cannot parse '1 2' as a number"
+
+    def test_underscore_digits_are_accepted(self, tmp_path):
+        path = tmp_path / "u.txt"
+        path.write_text("1_000\n", encoding="utf-8")
+        assert cli._load_sequence(str(path)).tolist() == [1000.0]
+
+    def test_comments_only_holds_no_values(self, tmp_path):
+        path = tmp_path / "c.txt"
+        path.write_text("# header\n\n  # another\n", encoding="utf-8")
+        # loadtxt's "input contained no data" warning must not reach stderr
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DataError, match="holds no values"):
+                cli._load_sequence(str(path))
+
+    @pytest.mark.parametrize("token", ["nan", "inf", "-inf"])
+    def test_non_finite_value_is_data_error(self, tmp_path, capsys, token):
+        path = tmp_path / "nf.txt"
+        path.write_text(f"1.0\n{token}\n2.0\n", encoding="utf-8")
+        assert run("records", "--input", str(path), "--out", str(tmp_path / "o")) == 3
+        assert "non-finite values" in capsys.readouterr().err
