@@ -127,6 +127,20 @@ def _load_family(text: str) -> tuple[families.FamilySpec, Path | None]:
     return families.from_json(doc), p
 
 
+def _load_table(path: str) -> stationarity.CriticalValueTable:
+    """A critical value table file: an unreadable path is a usage error,
+    contents that do not parse as a table a data error."""
+    p = Path(path)
+    if not p.exists():
+        raise UsageError(f"table file not found: {path}")
+    try:
+        return stationarity.CriticalValueTable.load(p)
+    except (OSError, UnicodeDecodeError) as exc:
+        raise UsageError(_unreadable("table", path, exc)) from None
+    except (DataError, ValueError, TypeError, KeyError) as exc:  # JSONDecodeError is a ValueError
+        raise DataError(f"table file {path}: {exc}") from None
+
+
 def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
@@ -136,7 +150,8 @@ def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
 
 
 def _write_manifest(outdir: Path, subcommand: str, config: dict,
-                    master_seed: int | None, inputs: list[Path], outputs: list[Path]) -> Path:
+                    master_seed: int | None, inputs: list[Path], outputs: list[Path],
+                    counters: dict | None = None) -> Path:
     digests = {str(p): _sha256(p) for p in inputs if p is not None and Path(p).exists()}
     doc = {
         "subcommand": subcommand,
@@ -148,6 +163,8 @@ def _write_manifest(outdir: Path, subcommand: str, config: dict,
         # absolute paths would make reruns in fresh directories differ
         "outputs": [Path(p).name for p in outputs],
     }
+    if counters is not None:
+        doc["counters"] = counters  # seed-determined, so reruns stay identical
     path = outdir / "manifest.json"
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
@@ -266,7 +283,8 @@ def cmd_simulate(args) -> int:
               file=sys.stderr)
     manifest = _write_manifest(outdir, "simulate",
                                {"config": doc, "master_seed": config.master_seed},
-                               config.master_seed, [Path(args.config)], [out_csv, out_json])
+                               config.master_seed, [Path(args.config)], [out_csv, out_json],
+                               counters=summary.counters)
     for c in summary.cells:
         if c.n in n_values:
             print(f"{c.estimator.value} n={c.n} bias={_fmt(c.bias)} risk={_fmt(c.risk)} "
@@ -316,7 +334,7 @@ def _run_test(seq, family, alpha: float, table_path: str | None, seed: int,
     T = stationarity.test_statistic(spacings)
     n = len(canon)
     if table_path:
-        table = stationarity.CriticalValueTable.load(table_path)
+        table = _load_table(table_path)
     else:
         table = stationarity.critical_values([n], DEFAULT_ALPHAS + (alpha,), reps, seed,
                                              threads=threads)

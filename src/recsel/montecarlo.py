@@ -18,12 +18,15 @@ import numpy as np
 
 from . import estimators, families
 from .errors import DataError, NumericError, UsageError
-from .records import Direction, RecordSet
+from .records import record_mask
 from .streams import replicate_stream
 
 _FIRST_BLOCK = 64
 _MAX_BLOCK = 65536
-_CHUNK = 2048  # fixed reduction granularity, independent of worker count
+_CHUNK = 2048  # replicates per worker task, independent of worker count
+_BATCH_ELEMENTS = 4096  # observations per (rows x block) matrix, at least one row
+_BATCH_ROWS = _BATCH_ELEMENTS // _FIRST_BLOCK  # replicate streams held at once
+STREAM_LAYOUT = 1  # version of the replicate-to-stream mapping
 MAX_TRUNCATION_FRACTION = 0.01
 
 
@@ -93,97 +96,115 @@ class ParameterSequenceModel:
 
 
 def _affine_scan(mult: np.ndarray, add: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Inclusive scan of the affine recurrence x_i = mult_i * x_{i-1} + add_i.
+    """Inclusive scan of the affine recurrence x_i = mult_i * x_{i-1} + add_i
+    along the last axis.
 
     Returns (A, C) with x_i = A_i * x_0 + C_i.  Affine composition is
-    associative, so a logarithmic-depth pass replaces the sequential loop.
+    associative, so a logarithmic-depth pass replaces the sequential loop;
+    each row of a 2-d input is scanned with the same association as alone.
     """
     A = mult.astype(float, copy=True)
     C = add.astype(float, copy=True)
     step = 1
-    n = A.size
+    n = A.shape[-1]
     while step < n:
-        A_hi = A[step:]
+        A_hi = A[..., step:]
         newA = A.copy()
         newC = C.copy()
-        newA[step:] = A_hi * A[:-step]
-        newC[step:] = C[step:] + A_hi * C[:-step]
+        newA[..., step:] = A_hi * A[..., :-step]
+        newC[..., step:] = C[..., step:] + A_hi * C[..., :-step]
         A, C = newA, newC
         step *= 2
     return A, C
 
 
 class ThetaStream:
-    """Stateful sampler of one theta sequence; take(k) continues where the
-    previous call stopped."""
+    """Stateful sampler of theta sequences; take(k) continues where the
+    previous call stopped.
 
-    def __init__(self, model: ParameterSequenceModel, rng: np.random.Generator):
+    Given one generator, take returns a 1-d block.  Given a list of
+    generators it returns a (rows, k) block, one row per generator, and
+    `rows` restricts a call to some of them.  Each row draws from its own
+    generator in the order a stream of that generator alone would.
+    """
+
+    def __init__(self, model: ParameterSequenceModel, rng):
         self.model = model
-        self.rng = rng
-        self._index = 0  # observations generated so far
-        self._ar_prev = 0.0  # theta_0 = 0 for the autoregressive scheme
-        self._geo_cd: tuple[float, float] | None = None
+        self._single = isinstance(rng, np.random.Generator)
+        self._rngs = [rng] if self._single else list(rng)
+        m = len(self._rngs)
+        self._index = np.zeros(m, dtype=np.int64)  # observations generated so far
+        self._ar_prev = np.zeros(m)  # theta_0 = 0 for the autoregressive scheme
+        self._geo_cd = np.full((2, m), np.nan)  # (c, d) once drawn, fixed-constant geometric
+        if model.scheme == Scheme.USER_SUPPLIED:
+            self._user = np.asarray(model.params["thetas"], dtype=float)
 
-    def take(self, count: int) -> np.ndarray:
+    def take(self, count: int, rows=None) -> np.ndarray:
         if count <= 0:
             raise UsageError("take needs count >= 1")
+        rows = np.arange(len(self._rngs)) if rows is None else np.asarray(rows)
+        rngs = [self._rngs[i] for i in rows]
         scheme = self.model.scheme
-        i0 = self._index
+        i0 = self._index[rows]
+        shape = (rows.size, count)
         if scheme == Scheme.CONSTANT:
-            out = np.full(count, float(self.model.params["value"]))
+            out = np.full(shape, float(self.model.params["value"]))
         elif scheme == Scheme.AR_POSITIVE_ERROR:
-            z = self.rng.random(count)
-            eps = self.rng.standard_exponential(count)
+            z = np.empty(shape)
+            eps = np.empty(shape)
+            for rng, z_row, eps_row in zip(rngs, z, eps):
+                rng.random(out=z_row)
+                rng.standard_exponential(out=eps_row)
             A, C = _affine_scan(z, eps)
-            out = A * self._ar_prev + C
-            self._ar_prev = float(out[-1])
+            out = A * self._ar_prev[rows, None] + C
+            self._ar_prev[rows] = out[:, -1]
         elif scheme == Scheme.STOCHASTIC_GEOMETRIC:
-            idx = np.arange(i0 + 1, i0 + count + 1, dtype=float)
+            idx = (i0[:, None] + np.arange(1, count + 1)).astype(float)
             if self.model.params.get("redraw_per_index", True):
-                c = self.rng.random(count)
-                d = self.rng.random(count)
+                c = np.empty(shape)
+                d = np.empty(shape)
+                for rng, c_row, d_row in zip(rngs, c, d):
+                    rng.random(out=c_row)
+                    rng.random(out=d_row)
             else:
-                if self._geo_cd is None:
-                    self._geo_cd = (float(self.rng.random()), float(self.rng.random()))
-                c, d = self._geo_cd
+                for i, rng in zip(rows, rngs):
+                    if np.isnan(self._geo_cd[0, i]):
+                        self._geo_cd[:, i] = rng.random(), rng.random()
+                c, d = self._geo_cd[:, rows, None]
             # exponent capped: overflow is unreachable in practice because
             # records arrive long before i ~ 1e4, but keep the engine finite
-            out = c * np.exp(np.minimum((idx - 1.0) * np.log1p(np.asarray(d) / 10.0), 700.0))
+            out = c * np.exp(np.minimum((idx - 1.0) * np.log1p(d / 10.0), 700.0))
         elif scheme == Scheme.WHITE_NOISE:
             mean = float(self.model.params.get("mean", 10.0))
             sd = float(self.model.params.get("sd", 1.0))
-            out = mean + sd * self.rng.standard_normal(count)
-            while np.any(out <= 0):  # probability ~ 7.6e-24 per draw at the defaults
-                bad = out <= 0
-                out[bad] = mean + sd * self.rng.standard_normal(int(bad.sum()))
+            out = np.empty(shape)
+            for rng, row in zip(rngs, out):
+                rng.standard_normal(out=row)
+            out = mean + sd * out
+            for j in np.flatnonzero(np.any(out <= 0, axis=1)):
+                row = out[j]
+                while np.any(row <= 0):  # probability ~ 7.6e-24 per draw at the defaults
+                    bad = row <= 0
+                    row[bad] = mean + sd * rngs[j].standard_normal(int(bad.sum()))
         elif scheme == Scheme.USER_SUPPLIED:
-            thetas = self.model.params["thetas"]
-            if i0 + count > len(thetas):
+            need = int(i0.max()) + count
+            if need > self._user.size:
                 raise DataError(
-                    f"user-supplied theta list exhausted: need {i0 + count}, have {len(thetas)}")
-            out = np.asarray(thetas[i0:i0 + count], dtype=float)
+                    f"user-supplied theta list exhausted: need {need}, have {self._user.size}")
+            out = self._user[i0[:, None] + np.arange(count)]
         else:  # pragma: no cover
             raise UsageError(f"unknown scheme {scheme}")
-        self._index += count
-        return out
+        self._index[rows] += count
+        return out[0] if self._single else out
 
     def next(self) -> float:
         return float(self.take(1)[0])
 
     def remaining(self) -> int | None:
-        """How many more values this stream can produce (None = unbounded)."""
+        """How many more values every row can produce (None = unbounded)."""
         if self.model.scheme == Scheme.USER_SUPPLIED:
-            return len(self.model.params["thetas"]) - self._index
+            return self._user.size - int(self._index.max())
         return None
-
-
-def generate_theta(model: ParameterSequenceModel, i: int, rng: np.random.Generator) -> float:
-    """theta_i from a fresh stream advanced to index i (i >= 1).  Prefer
-    ThetaStream when consuming a whole sequence."""
-    if i < 1:
-        raise UsageError("theta indices start at 1")
-    stream = ThetaStream(model, rng)
-    return float(stream.take(i)[-1])
 
 
 # ---------------------------------------------------------------------------
@@ -208,18 +229,6 @@ class SimulationConfig:
             raise UsageError("max_observations must be >= 1")
 
 
-@dataclass(frozen=True)
-class ReplicateResult:
-    """One simulated path up to the n-th canonical record."""
-
-    theta_selected: float
-    records: RecordSet  # canonical scale (Gamma for model 1, exponential for model 2)
-    thetas_at_records: np.ndarray
-    s_inv_at_records: np.ndarray  # cumulative sum of 1/theta_i at the record times
-    truncated: bool
-    observations: int
-
-
 @dataclass
 class SimulationDraws:
     """Batch of replicates in matrix form; truncated rows carry NaN."""
@@ -235,27 +244,48 @@ class SimulationDraws:
     def ok(self) -> np.ndarray:
         return ~self.truncated
 
+    def counters(self) -> dict:
+        """Seed-determined engine counters: observations consumed per
+        replicate, truncated replicates and the random-stream layout.  The
+        percentiles are order statistics, pq the ceil(q n / 100)-th smallest
+        of n (np.percentile would import numpy.ma, ~1 MB, for this alone)."""
+        obs = np.sort(self.observations)
+        return {
+            "observations_per_replicate": {
+                "p50": int(obs[-(-50 * obs.size // 100) - 1]),
+                "p99": int(obs[-(-99 * obs.size // 100) - 1]),
+                "max": int(obs[-1]),
+            },
+            "truncated": int(np.count_nonzero(self.truncated)),
+            "stream_layout": STREAM_LAYOUT,
+        }
 
-def _simulate_one(config: SimulationConfig, rng: np.random.Generator,
-                  out_vals, out_thetas, out_times, out_sinv) -> tuple[bool, int]:
-    """Stream blocks of observations until the n_target-th canonical record.
 
-    Per block the rng is consumed in a fixed order (theta draws, then the
-    canonical Gamma/exponential draws); unused tail draws of the final block
-    are discarded, which affects nothing downstream.
+def _simulate_rows(config: SimulationConfig, start: int, stop: int, draws: SimulationDraws) -> None:
+    """Replicates start..stop-1 advanced together through the block schedule
+    until each reaches the n_target-th canonical record or max_observations.
+
+    Every live row shares the offset and block size.  A row draws from its
+    own replicate stream in a fixed order per block (theta draws, then the
+    canonical Gamma/exponential draws); unused tail draws of its final block
+    are discarded, which affects nothing downstream.  Live rows go through
+    each block in groups of at most _BATCH_ELEMENTS observations (one row
+    when a block is longer).
     """
     n_target = config.n_target
     cap = config.max_observations
-    theta_stream = ThetaStream(config.theta_model, rng)
+    rngs = [replicate_stream(config.master_seed, r) for r in range(start, stop)]
+    theta_stream = ThetaStream(config.theta_model, rngs)
     gamma_kind = config.family.kind == families.Kind.GAMMA_TYPE
     shape_p = config.family.shape_p
 
-    found = 0
+    live = np.arange(stop - start)  # rows still short of the n_target-th record
+    found = np.zeros(live.size, dtype=np.int64)
+    extreme = np.full(live.size, -np.inf)
+    sinv_carry = np.zeros(live.size)
     offset = 0
-    cur_max = -np.inf
-    sinv_carry = 0.0
     block = _FIRST_BLOCK
-    while found < n_target and offset < cap:
+    while live.size and offset < cap:
         b = min(block, cap - offset)
         left = theta_stream.remaining()
         if left is not None:
@@ -264,51 +294,46 @@ def _simulate_one(config: SimulationConfig, rng: np.random.Generator,
                     f"user-supplied theta list exhausted after {offset} observations "
                     f"before record {n_target}")
             b = min(b, left)
-        theta = theta_stream.take(b)
-        if gamma_kind:
-            y = rng.standard_gamma(shape_p, b) * theta
-        else:
-            y = rng.standard_exponential(b) * theta
-        sinv = sinv_carry + np.cumsum(1.0 / theta)
-        running = np.maximum.accumulate(y)
-        prev = np.empty(b)
-        prev[0] = cur_max
-        prev[1:] = np.maximum(running[:-1], cur_max)
-        idx = np.flatnonzero(y > prev)
-        take = idx[: n_target - found]
-        for j, i in enumerate(take):
-            k = found + j
-            out_vals[k] = y[i]
-            out_thetas[k] = theta[i]
-            out_times[k] = offset + int(i) + 1
-            out_sinv[k] = sinv[i]
-        found += take.size
-        if found == n_target:
-            return False, offset + int(take[-1]) + 1
-        cur_max = max(cur_max, float(running[-1]))
-        sinv_carry = float(sinv[-1])
+        group = max(1, _BATCH_ELEMENTS // b)
+        for g in range(0, live.size, group):
+            rows = live[g:g + group]
+            theta = theta_stream.take(b, rows)
+            y = np.empty_like(theta)
+            for i, y_row in zip(rows, y):
+                if gamma_kind:
+                    rngs[i].standard_gamma(shape_p, out=y_row)
+                else:
+                    rngs[i].standard_exponential(out=y_row)
+            y *= theta
+            sinv = np.cumsum(1.0 / theta, axis=1)
+            sinv += sinv_carry[rows, None]
+            sinv_carry[rows] = sinv[:, -1]
+            mask, extreme[rows] = record_mask(y, extreme[rows])
+            # rank of each record within its row, then within its replicate
+            rec_row, rec_col = np.nonzero(mask)
+            per_row = np.count_nonzero(mask, axis=1)
+            rank = np.arange(rec_row.size) - (np.cumsum(per_row) - per_row)[rec_row]
+            rank += found[rows][rec_row]
+            keep = rank < n_target
+            rec_row, rec_col, rank = rec_row[keep], rec_col[keep], rank[keep]
+            out = start + rows[rec_row]
+            draws.values[out, rank] = y[rec_row, rec_col]
+            draws.thetas[out, rank] = theta[rec_row, rec_col]
+            draws.times[out, rank] = offset + rec_col + 1
+            draws.s_inv[out, rank] = sinv[rec_row, rec_col]
+            last = rank == n_target - 1
+            draws.observations[out[last]] = offset + rec_col[last] + 1
+            found[rows] = np.minimum(found[rows] + per_row, n_target)
         offset += b
         block = min(block * 2, _MAX_BLOCK)
-    return True, offset
-
-
-def run_replicate(config: SimulationConfig, rng: np.random.Generator) -> ReplicateResult:
-    """Simulate one replicate; realizes the selected parameter theta_{T_n}.
-
-    A replicate that hits max_observations first is returned with
-    truncated=True, the records found so far, and a NaN selected parameter.
-    """
-    n = config.n_target
-    vals = np.full(n, np.nan)
-    thetas = np.full(n, np.nan)
-    times = np.zeros(n, dtype=np.int64)
-    sinv = np.full(n, np.nan)
-    truncated, used = _simulate_one(config, rng, vals, thetas, times, sinv)
-    found = int(np.sum(times > 0))
-    rec = RecordSet(vals[:found], times[:found], Direction.UPPER,
-                    used if truncated else int(times[found - 1]))
-    selected = float("nan") if truncated else float(thetas[n - 1])
-    return ReplicateResult(selected, rec, thetas[:found], sinv[:found], truncated, used)
+        live = live[found[live] < n_target]
+    out = start + live  # rows that hit max_observations first
+    draws.truncated[out] = True
+    draws.observations[out] = offset
+    draws.values[out] = np.nan
+    draws.thetas[out] = np.nan
+    draws.s_inv[out] = np.nan
+    draws.times[out] = 0
 
 
 def simulate_records(config: SimulationConfig, threads: int = 1) -> SimulationDraws:
@@ -316,24 +341,17 @@ def simulate_records(config: SimulationConfig, threads: int = 1) -> SimulationDr
     n_target-th record are flagged truncated and NaN-filled."""
     reps = config.replications
     n = config.n_target
-    values = np.full((reps, n), np.nan)
-    thetas = np.full((reps, n), np.nan)
-    times = np.zeros((reps, n), dtype=np.int64)
-    s_inv = np.full((reps, n), np.nan)
-    truncated = np.zeros(reps, dtype=bool)
-    observations = np.zeros(reps, dtype=np.int64)
+    draws = SimulationDraws(
+        values=np.full((reps, n), np.nan),
+        thetas=np.full((reps, n), np.nan),
+        times=np.zeros((reps, n), dtype=np.int64),
+        s_inv=np.full((reps, n), np.nan),
+        truncated=np.zeros(reps, dtype=bool),
+        observations=np.zeros(reps, dtype=np.int64))
 
     def do_chunk(start: int, stop: int):
-        for r in range(start, stop):
-            rng = replicate_stream(config.master_seed, r)
-            trunc, used = _simulate_one(config, rng, values[r], thetas[r], times[r], s_inv[r])
-            truncated[r] = trunc
-            observations[r] = used
-            if trunc:
-                values[r] = np.nan
-                thetas[r] = np.nan
-                s_inv[r] = np.nan
-                times[r] = 0
+        for s in range(start, stop, _BATCH_ROWS):
+            _simulate_rows(config, s, min(s + _BATCH_ROWS, stop), draws)
 
     spans = [(s, min(s + _CHUNK, reps)) for s in range(0, reps, _CHUNK)]
     if threads and threads > 1:
@@ -342,7 +360,7 @@ def simulate_records(config: SimulationConfig, threads: int = 1) -> SimulationDr
     else:
         for span in spans:
             do_chunk(*span)
-    return SimulationDraws(values, thetas, times, s_inv, truncated, observations)
+    return draws
 
 
 # ---------------------------------------------------------------------------
@@ -368,6 +386,7 @@ class SimulationSummary:
     cells: tuple[SummaryCell, ...]
     config: SimulationConfig
     truncation_fraction: float
+    counters: dict  # SimulationDraws.counters of the run
 
     def cell(self, estimator: estimators.EstimatorId, n: int) -> SummaryCell:
         for c in self.cells:
@@ -461,7 +480,7 @@ def bias_risk_table(config: SimulationConfig, estimator_ids=None,
                 se_bias = float("nan")
                 se_risk = float("nan")
             cells.append(SummaryCell(est, n, bias, risk, se_bias, se_risk, n_ok, truncated))
-    return SimulationSummary(tuple(cells), config, frac)
+    return SimulationSummary(tuple(cells), config, frac, draws.counters())
 
 
 def spacing_survival_check(config: SimulationConfig, y_grid, threads: int = 1) -> float:

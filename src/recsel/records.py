@@ -60,23 +60,33 @@ def _as_sequence(seq) -> np.ndarray:
     return arr
 
 
+def record_mask(block, extreme, direction: Direction | str = Direction.UPPER):
+    """Where each observation strictly beats the running extreme along the
+    last axis, the extreme carried in from earlier observations included.
+
+    `block` is 1-d, or 2-d with one sequence per row and `extreme` holding
+    one carried extreme per row.  Returns (mask, extreme after the block).
+    """
+    block = np.asarray(block, dtype=float)
+    extreme = np.asarray(extreme, dtype=float)[..., None]
+    upper = Direction(direction) == Direction.UPPER
+    acc, beats = (np.maximum, np.greater) if upper else (np.minimum, np.less)
+    running = acc.accumulate(block, axis=-1)
+    acc(running, extreme, out=running)
+    mask = np.empty(block.shape, dtype=bool)
+    beats(block[..., :1], extreme, out=mask[..., :1])
+    beats(block[..., 1:], running[..., :-1], out=mask[..., 1:])
+    return mask, running[..., -1]
+
+
 def extract_records(seq, direction: Direction | str = Direction.UPPER) -> RecordSet:
     """Scan a sequence for records.  The first element is always a record;
     later elements are records when they strictly exceed (upper) or fall
     below (lower) every earlier observation."""
     direction = Direction(direction)
     arr = _as_sequence(seq)
-    if direction == Direction.UPPER:
-        running = np.maximum.accumulate(arr)
-        is_rec = np.empty(arr.size, dtype=bool)
-        is_rec[0] = True
-        is_rec[1:] = arr[1:] > running[:-1]
-    else:
-        running = np.minimum.accumulate(arr)
-        is_rec = np.empty(arr.size, dtype=bool)
-        is_rec[0] = True
-        is_rec[1:] = arr[1:] < running[:-1]
-    times = np.flatnonzero(is_rec) + 1
+    start = -np.inf if direction == Direction.UPPER else np.inf
+    times = np.flatnonzero(record_mask(arr, start, direction)[0]) + 1
     return RecordSet(arr[times - 1], times, direction, arr.size)
 
 
@@ -137,22 +147,13 @@ class RecordAccumulator:
             return 0
         if not np.all(np.isfinite(block)):
             raise DataError("sequence contains non-finite values")
-        prev = np.empty_like(block)
-        prev[0] = self._extreme
-        if self.direction == Direction.UPPER:
-            prev[1:] = np.maximum(np.maximum.accumulate(block)[:-1], self._extreme)
-            is_rec = block > prev
-        else:
-            prev[1:] = np.minimum(np.minimum.accumulate(block)[:-1], self._extreme)
-            is_rec = block < prev
-        idx = np.flatnonzero(is_rec)
+        mask, extreme = record_mask(block, self._extreme, self.direction)
+        idx = np.flatnonzero(mask)
         for i in idx:
             self._values.append(float(block[i]))
             self._times.append(self._count + int(i) + 1)
         self._count += block.size
-        if idx.size:
-            # the last record is by construction the block's new extreme
-            self._extreme = float(block[idx[-1]])
+        self._extreme = float(extreme)
         return int(idx.size)
 
     @property

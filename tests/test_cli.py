@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import recsel
-from recsel import cli, datasets, stationarity
+from recsel import cli, datasets, families, montecarlo, stationarity
 from recsel.errors import DataError
 
 RAINFALL = datasets.RAINFALL_RECORD_VALUES
@@ -167,14 +167,34 @@ class TestSimulateCommand:
 
     def test_byte_identical_across_threads_and_runs(self, tmp_path):
         path = self.config(tmp_path)
-        blobs = []
-        for tag, threads in (("a", "1"), ("b", "4"), ("c", "8"), ("d", "1")):
+        outputs = []
+        for tag, threads in (("a", "1"), ("b", "2"), ("c", "4"), ("d", "8"), ("e", "1")):
             out = tmp_path / tag
             assert run("simulate", "--config", str(path), "--threads", threads,
                        "--out", str(out)) == 0
-            blobs.append((out / "simulate_summary.csv").read_bytes()
-                         + (out / "simulate_summary.json").read_bytes())
-        assert all(b == blobs[0] for b in blobs)
+            outputs.append({p.name: p.read_bytes() for p in out.iterdir()})
+        assert set(outputs[0]) == {"manifest.json", "simulate_summary.csv", "simulate_summary.json"}
+        assert all(o == outputs[0] for o in outputs)
+
+
+    def test_manifest_counters_match_the_draws(self, tmp_path):
+        path = self.config(tmp_path, scheme="white_noise", params={})
+        out = tmp_path / "o"
+        assert run("simulate", "--config", str(path), "--threads", "2", "--out", str(out)) == 0
+        counters = json.loads((out / "manifest.json").read_text())["counters"]
+        doc = json.loads(path.read_text())
+        draws = montecarlo.simulate_records(montecarlo.SimulationConfig(
+            family=families.from_json_dict(doc["family"]),
+            theta_model=montecarlo.ParameterSequenceModel.from_json_dict(doc["theta_model"]),
+            n_target=doc["n_target"], replications=doc["replications"],
+            master_seed=doc["master_seed"]))
+        obs = sorted(int(o) for o in draws.observations)  # 2000 replicates
+        assert counters == {
+            "observations_per_replicate": {"p50": obs[999], "p99": obs[1979], "max": obs[-1]},
+            "truncated": int(draws.truncated.sum()),
+            "stream_layout": 1,
+        }
+        assert counters["observations_per_replicate"]["max"] > counters["observations_per_replicate"]["p50"]
 
 
 class TestCritvalsCommand:
@@ -302,6 +322,37 @@ class TestUnreadablePaths:
         assert run(*argv, "--out", str(tmp_path / "o")) == code
         err = capsys.readouterr().err
         assert err.startswith("data error:" if code == 3 else "usage error:")
+
+
+class TestTableFile:
+    """A --table that cannot be read is a usage error (exit 2); one that
+    reads but does not parse as a table is a data error (exit 3)."""
+
+    CASES = {
+        "missing": (None, 2),
+        "directory": (None, 2),
+        "not-utf8": (b"n,0.05\n8,\xff\n", 2),
+        "bad-number.csv": (b"n,0.05\n8,two\n", 3),
+        "bad.json": (b'{"n_values": [8], "alphas": [0.05], ', 3),
+        "no-quantiles.json": (b'{"n_values": [8], "alphas": [0.05]}', 3),
+    }
+
+    @pytest.mark.parametrize("command", [
+        ["test", "--input", "lacc-rainfall-records", "--family", "lacc-rainfall-records"],
+        ["demo-rainfall"],
+    ], ids=["test", "demo-rainfall"])
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_exit_code(self, tmp_path, capsys, command, case):
+        content, code = self.CASES[case]
+        table = tmp_path / case
+        if case == "directory":
+            table.mkdir()
+        elif content is not None:
+            table.write_bytes(content)
+        assert run(*command, "--table", str(table), "--out", str(tmp_path / "o")) == code
+        err = capsys.readouterr().err
+        assert err.startswith("usage error:" if code == 2 else "data error:")
+        assert str(table) in err
 
 
 IMPORT_GUARD = textwrap.dedent("""

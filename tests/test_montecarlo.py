@@ -1,15 +1,18 @@
 """Theta schemes, the replicate engine, and summary tables."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from recsel import estimators, families, montecarlo
 from recsel.errors import DataError, NumericError, UsageError
 from recsel.estimators import EstimatorId
 from recsel.families import Member
-from recsel.montecarlo import ParameterSequenceModel, SimulationConfig
+from recsel.montecarlo import ParameterSequenceModel, Scheme, SimulationConfig
 from recsel.streams import replicate_stream
 
 
@@ -21,7 +24,8 @@ class TestThetaStream:
     def test_constant(self):
         stream = montecarlo.ThetaStream(ParameterSequenceModel.constant(1.0), np.random.default_rng(0))
         assert np.all(stream.take(10) == 1.0)
-        assert montecarlo.generate_theta(ParameterSequenceModel.constant(2.5), 17, np.random.default_rng(0)) == 2.5
+        stream = montecarlo.ThetaStream(ParameterSequenceModel.constant(2.5), np.random.default_rng(0))
+        assert stream.take(17)[-1] == 2.5
 
     def test_affine_scan_matches_loop(self):
         rng = np.random.default_rng(1)
@@ -108,62 +112,65 @@ class TestThetaStream:
             ParameterSequenceModel.constant(0.0)
         with pytest.raises(UsageError):
             ParameterSequenceModel.user_supplied([])
+        stream = montecarlo.ThetaStream(ParameterSequenceModel.constant(1.0), np.random.default_rng(0))
         with pytest.raises(UsageError):
-            montecarlo.generate_theta(ParameterSequenceModel.constant(1.0), 0, np.random.default_rng(0))
+            stream.take(0)
 
 
 class TestRunReplicate:
+    """Single replicates through simulate_records (replications=1, replicate
+    stream (master_seed, 0))."""
+
     def test_single_record_constant(self):
         cfg = SimulationConfig(family=exp_family(), theta_model=ParameterSequenceModel.constant(3.0),
-                               n_target=1, replications=1, master_seed=0)
-        res = montecarlo.run_replicate(cfg, np.random.default_rng(12))
-        assert res.theta_selected == 3.0
-        assert len(res.records) == 1
-        assert res.records.times[0] == 1
-        assert res.observations == 1
-        assert not res.truncated
+                               n_target=1, replications=1, master_seed=12)
+        d = montecarlo.simulate_records(cfg)
+        assert d.thetas[0, -1] == 3.0
+        assert np.count_nonzero(d.times[0]) == 1
+        assert d.times[0, 0] == 1
+        assert d.observations[0] == 1
+        assert not d.truncated[0]
 
     def test_deterministic_given_stream(self):
         cfg = SimulationConfig(family=exp_family(), theta_model=ParameterSequenceModel.ar_positive_error(),
-                               n_target=3, replications=1, master_seed=0)
-        a = montecarlo.run_replicate(cfg, replicate_stream(9, 4))
-        b = montecarlo.run_replicate(cfg, replicate_stream(9, 4))
-        assert np.array_equal(a.records.values, b.records.values)
-        assert np.array_equal(a.records.times, b.records.times)
-        assert a.theta_selected == b.theta_selected
+                               n_target=3, replications=1, master_seed=9)
+        a = montecarlo.simulate_records(cfg)
+        b = montecarlo.simulate_records(cfg)
+        assert np.array_equal(a.values, b.values)
+        assert np.array_equal(a.times, b.times)
+        assert a.thetas[0, -1] == b.thetas[0, -1]
 
     def test_records_are_upper_canonical(self):
         cfg = SimulationConfig(family=families.gamma_type(Member.GAMMA, p=0.5),
                                theta_model=ParameterSequenceModel.white_noise(),
-                               n_target=4, replications=1, master_seed=0)
-        res = montecarlo.run_replicate(cfg, replicate_stream(10, 0))
-        assert np.all(np.diff(res.records.values) > 0)
-        assert np.all(np.diff(res.records.times) > 0)
-        assert res.s_inv_at_records.shape == (4,)
-        assert np.all(np.diff(res.s_inv_at_records) > 0)
+                               n_target=4, replications=1, master_seed=10)
+        d = montecarlo.simulate_records(cfg)
+        assert np.all(np.diff(d.values[0]) > 0)
+        assert np.all(np.diff(d.times[0]) > 0)
+        assert d.s_inv[0].shape == (4,)
+        assert np.all(np.diff(d.s_inv[0]) > 0)
 
     def test_truncation_flagged(self):
         cfg = SimulationConfig(family=exp_family(), theta_model=ParameterSequenceModel.constant(1.0),
-                               n_target=10, replications=1, master_seed=0, max_observations=50)
-        res = montecarlo.run_replicate(cfg, replicate_stream(11, 3))
-        if res.truncated:
-            assert math.isnan(res.theta_selected)
-            assert res.observations == 50
+                               n_target=10, replications=1, master_seed=11, max_observations=50)
+        d = montecarlo.simulate_records(cfg)
+        if d.truncated[0]:
+            assert math.isnan(d.thetas[0, -1])
+            assert d.observations[0] == 50
         else:  # the stream may legitimately find 10 records within 50 draws
-            assert len(res.records) == 10
+            assert np.count_nonzero(d.times[0]) == 10
 
     def test_user_supplied_thetas_drive_the_engine(self):
         thetas = [1.0] * 200
         cfg = SimulationConfig(family=exp_family(),
                                theta_model=ParameterSequenceModel.user_supplied(thetas),
-                               n_target=2, replications=1, master_seed=0)
-        res = montecarlo.run_replicate(cfg, replicate_stream(13, 0))
-        assert res.theta_selected == 1.0
+                               n_target=2, replications=1, master_seed=13)
+        assert montecarlo.simulate_records(cfg).thetas[0, -1] == 1.0
         short = SimulationConfig(family=exp_family(),
                                  theta_model=ParameterSequenceModel.user_supplied([1.0, 2.0]),
-                                 n_target=50, replications=1, master_seed=0)
+                                 n_target=50, replications=1, master_seed=13)
         with pytest.raises(DataError):
-            montecarlo.run_replicate(short, replicate_stream(13, 1))
+            montecarlo.simulate_records(short)
 
     def test_geometric_records_come_sooner_than_iid(self):
         reps = 10**4
@@ -282,3 +289,210 @@ class TestSpacingSurvival:
                                n_target=2, replications=100, master_seed=44)
         with pytest.raises(UsageError):
             montecarlo.spacing_survival_check(cfg, [0.0, 1.0])
+
+
+# ---------------------------------------------------------------------------
+# reference engine: the same record process, one replicate at a time on its
+# own stream, with plain 1-d numpy.  The batched engine must reproduce it bit
+# for bit.
+
+
+def reference_affine_scan(mult, add):
+    A, C = mult.copy(), add.copy()
+    step = 1
+    while step < A.size:
+        newA, newC = A.copy(), C.copy()
+        newA[step:] = A[step:] * A[:-step]
+        newC[step:] = C[step:] + A[step:] * C[:-step]
+        A, C = newA, newC
+        step *= 2
+    return A, C
+
+
+def reference_thetas(model: ParameterSequenceModel, rng: np.random.Generator):
+    """Theta blocks of one replicate: send(count) gives the next count values."""
+    index, ar_prev, geo_cd = 0, 0.0, None
+    out = None
+    while True:
+        count = yield out
+        if model.scheme == Scheme.CONSTANT:
+            out = np.full(count, float(model.params["value"]))
+        elif model.scheme == Scheme.AR_POSITIVE_ERROR:
+            z = rng.random(count)
+            eps = rng.standard_exponential(count)
+            A, C = reference_affine_scan(z, eps)
+            out = A * ar_prev + C
+            ar_prev = float(out[-1])
+        elif model.scheme == Scheme.STOCHASTIC_GEOMETRIC:
+            idx = np.arange(index + 1, index + count + 1, dtype=float)
+            if model.params.get("redraw_per_index", True):
+                c = rng.random(count)
+                d = rng.random(count)
+            else:
+                if geo_cd is None:
+                    geo_cd = (float(rng.random()), float(rng.random()))
+                c, d = geo_cd
+            out = c * np.exp(np.minimum((idx - 1.0) * np.log1p(np.asarray(d) / 10.0), 700.0))
+        elif model.scheme == Scheme.WHITE_NOISE:
+            mean, sd = float(model.params["mean"]), float(model.params["sd"])
+            out = mean + sd * rng.standard_normal(count)
+            while np.any(out <= 0):
+                bad = out <= 0
+                out[bad] = mean + sd * rng.standard_normal(int(bad.sum()))
+        else:
+            out = np.asarray(model.params["thetas"][index:index + count], dtype=float)
+        index += count
+
+
+def reference_simulate(config: SimulationConfig) -> montecarlo.SimulationDraws:
+    reps, n_target, cap = config.replications, config.n_target, config.max_observations
+    values = np.full((reps, n_target), np.nan)
+    thetas = np.full((reps, n_target), np.nan)
+    times = np.zeros((reps, n_target), dtype=np.int64)
+    s_inv = np.full((reps, n_target), np.nan)
+    truncated = np.zeros(reps, dtype=bool)
+    observations = np.zeros(reps, dtype=np.int64)
+    user = config.theta_model.scheme == Scheme.USER_SUPPLIED
+    for r in range(reps):
+        rng = replicate_stream(config.master_seed, r)
+        stream = reference_thetas(config.theta_model, rng)
+        next(stream)
+        found, offset, cur_max, sinv_carry, block = 0, 0, -np.inf, 0.0, montecarlo._FIRST_BLOCK
+        while found < n_target and offset < cap:
+            b = min(block, cap - offset)
+            if user:
+                left = len(config.theta_model.params["thetas"]) - offset
+                if left == 0:
+                    raise DataError(
+                        f"user-supplied theta list exhausted after {offset} observations "
+                        f"before record {n_target}")
+                b = min(b, left)
+            theta = stream.send(b)
+            if config.family.kind == families.Kind.GAMMA_TYPE:
+                y = rng.standard_gamma(config.family.shape_p, b) * theta
+            else:
+                y = rng.standard_exponential(b) * theta
+            sinv = sinv_carry + np.cumsum(1.0 / theta)
+            running = np.maximum.accumulate(y)
+            prev = np.empty(b)
+            prev[0] = cur_max
+            prev[1:] = np.maximum(running[:-1], cur_max)
+            for i in np.flatnonzero(y > prev)[: n_target - found]:
+                values[r, found], thetas[r, found], s_inv[r, found] = y[i], theta[i], sinv[i]
+                times[r, found] = offset + int(i) + 1
+                found += 1
+            if found == n_target:
+                observations[r] = times[r, -1]
+                break
+            cur_max = max(cur_max, float(running[-1]))
+            sinv_carry = float(sinv[-1])
+            offset += b
+            block = min(block * 2, montecarlo._MAX_BLOCK)
+        else:
+            truncated[r], observations[r] = True, offset
+            values[r] = thetas[r] = s_inv[r] = np.nan
+            times[r] = 0
+    return montecarlo.SimulationDraws(values, thetas, times, s_inv, truncated, observations)
+
+
+DRAW_FIELDS = ("values", "thetas", "times", "s_inv", "truncated", "observations")
+
+FAMILIES = (families.gamma_type(Member.GAMMA, p=0.5), families.gamma_type(Member.GAMMA, p=2.0),
+            exp_family(), families.proportional_reversed_hazard(Member.BETA))
+
+MODELS = st.one_of(
+    st.just(ParameterSequenceModel.ar_positive_error()),
+    st.builds(ParameterSequenceModel.white_noise,
+              mean=st.sampled_from([10.0, 0.5]), sd=st.just(1.0)),  # 0.5: frequent redraws
+    st.builds(ParameterSequenceModel.stochastic_geometric, st.booleans()),
+    st.builds(ParameterSequenceModel.constant, st.sampled_from([1.0, 2.5])),
+    st.builds(ParameterSequenceModel.user_supplied,
+              st.lists(st.floats(0.1, 5.0), min_size=1, max_size=300)),
+)
+
+
+def outcome(simulate, config):
+    """Bytes of every draws field, or the DataError message."""
+    try:
+        draws = simulate(config)
+    except DataError as exc:
+        return str(exc)
+    return tuple(getattr(draws, f).tobytes() for f in DRAW_FIELDS)
+
+
+class TestMatchesReference:
+    """The batched engine gives the per-replicate loop's draws bit for bit,
+    at one and two threads, over chunk and batch boundaries."""
+
+    def assert_same(self, config):
+        expect = outcome(reference_simulate, config)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(montecarlo, "_CHUNK", 96)  # several chunks, batches of 64 and 32
+            for threads in (1, 2):
+                got = outcome(lambda c: montecarlo.simulate_records(c, threads=threads), config)
+                assert got == expect, f"threads={threads}"
+        return expect
+
+    @settings(max_examples=150, deadline=None)
+    @given(family=st.sampled_from(FAMILIES), model=MODELS, n_target=st.integers(1, 5),
+           reps=st.integers(1, 200), seed=st.integers(0, 2**32 - 1),
+           cap=st.sampled_from([40, 700, 20000]))
+    def test_bit_equal(self, family, model, n_target, reps, seed, cap):
+        config = SimulationConfig(family=family, theta_model=model, n_target=n_target,
+                                  replications=reps, master_seed=seed, max_observations=cap)
+        self.assert_same(config)
+
+    def test_rows_reach_the_largest_block(self):
+        # ~11 records in 65,472 iid draws: 14 need the 65,536 block, and the
+        # cap trims the block after it
+        config = SimulationConfig(family=exp_family(), theta_model=ParameterSequenceModel.constant(1.0),
+                                  n_target=14, replications=3, master_seed=51,
+                                  max_observations=150_000)
+        draws = montecarlo.simulate_records(config)
+        assert draws.observations.max() > 65_472
+        self.assert_same(config)
+
+    def test_many_threads_with_frequent_switches(self):
+        """Workers write disjoint rows of the shared draws: eight threads on
+        short chunks, switching every 10 us, lose no row."""
+        config = SimulationConfig(family=families.gamma_type(Member.GAMMA, p=0.5),
+                                  theta_model=ParameterSequenceModel.white_noise(),
+                                  n_target=3, replications=600, master_seed=53,
+                                  max_observations=5000)
+        expect = outcome(reference_simulate, config)
+        interval = sys.getswitchinterval()
+        try:
+            sys.setswitchinterval(1e-5)
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(montecarlo, "_CHUNK", 32)
+                got = outcome(lambda c: montecarlo.simulate_records(c, threads=8), config)
+        finally:
+            sys.setswitchinterval(interval)
+        assert got == expect
+
+    def test_theta_list_exhaustion_message(self):
+        config = SimulationConfig(family=exp_family(),
+                                  theta_model=ParameterSequenceModel.user_supplied([1.0] * 100),
+                                  n_target=40, replications=130, master_seed=52)
+        message = self.assert_same(config)
+        assert message == "user-supplied theta list exhausted after 100 observations before record 40"
+
+
+class TestBatchedThetaStream:
+    @settings(max_examples=40, deadline=None)
+    @given(model=MODELS.filter(lambda m: m.scheme != Scheme.USER_SUPPLIED),
+           counts=st.lists(st.integers(1, 80), min_size=1, max_size=4),
+           subsets=st.lists(st.lists(st.booleans(), min_size=5, max_size=5), min_size=4, max_size=4))
+    def test_rows_match_single_streams(self, model, counts, subsets):
+        """Each row of a batched stream is the stream of its generator alone,
+        whichever rows each call takes."""
+        batched = montecarlo.ThetaStream(model, [replicate_stream(60, r) for r in range(5)])
+        single = [montecarlo.ThetaStream(model, replicate_stream(60, r)) for r in range(5)]
+        for count, subset in zip(counts, subsets):
+            rows = np.flatnonzero(subset)
+            if rows.size == 0:
+                continue
+            block = batched.take(count, rows)
+            assert block.shape == (rows.size, count)
+            for row, r in zip(block, rows):
+                assert row.tobytes() == single[r].take(count).tobytes()

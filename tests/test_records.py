@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from recsel import families, records
 from recsel.errors import DataError, UsageError
@@ -152,3 +154,47 @@ class TestAccumulator:
         var = np.sum((1.0 / np.arange(1, m + 1)) * (1.0 - 1.0 / np.arange(1, m + 1)))
         se = np.sqrt(var / reps)
         assert abs(counts.mean() - harmonic) < 3 * se
+
+
+finite = st.floats(-1e6, 1e6, allow_nan=False)
+# small integers make ties, which must not count as records
+sequences = st.lists(st.one_of(finite, st.integers(-3, 3).map(float)), min_size=1, max_size=200)
+
+
+class TestRecordMask:
+    @settings(max_examples=200, deadline=None)
+    @given(seq=sequences, cuts=st.lists(st.integers(1, 200), max_size=8),
+           direction=st.sampled_from(list(Direction)))
+    def test_accumulator_equals_one_shot_scan_for_any_split(self, seq, cuts, direction):
+        acc = records.RecordAccumulator(direction)
+        bounds = sorted({0, len(seq), *(c for c in cuts if c < len(seq))})
+        added = sum(acc.extend(seq[a:b]) for a, b in zip(bounds, bounds[1:]))
+        got, batch = acc.result(), records.extract_records(seq, direction)
+        assert added == len(batch)
+        assert np.array_equal(got.values, batch.values)
+        assert np.array_equal(got.times, batch.times)
+
+    @settings(max_examples=200, deadline=None)
+    @given(seq=sequences, direction=st.sampled_from(list(Direction)))
+    def test_records_are_strict_and_start_at_time_1(self, seq, direction):
+        rec = records.extract_records(seq, direction)
+        steps = np.diff(rec.values)
+        assert np.all(steps > 0) if direction == Direction.UPPER else np.all(steps < 0)
+        assert rec.times[0] == 1
+        assert np.all(np.diff(rec.times) > 0)
+        assert rec.values[-1] == (max(seq) if direction == Direction.UPPER else min(seq))
+
+    @settings(max_examples=100, deadline=None)
+    @given(rows=st.lists(st.lists(finite, min_size=6, max_size=6), min_size=1, max_size=5),
+           carried=st.lists(st.one_of(finite, st.just(-np.inf)), min_size=5, max_size=5))
+    def test_rows_scan_as_alone(self, rows, carried):
+        """A 2-d block scans each row with its own carried extreme."""
+        block = np.array(rows)
+        extreme = np.array(carried[:block.shape[0]])
+        mask, after = records.record_mask(block, extreme)
+        for row, e, m, a in zip(block, extreme, mask, after):
+            m1, a1 = records.record_mask(row, e)
+            assert np.array_equal(m, m1) and a == a1
+            assert a == max(e, row.max())
+            prev = np.maximum.accumulate(np.concatenate(([e], row)))[:-1]
+            assert np.array_equal(m, row > prev)
