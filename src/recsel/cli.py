@@ -36,6 +36,17 @@ def _fmt(v) -> str:
     return str(v)
 
 
+def _seed(text: str) -> int:
+    """argparse type of --seed: a non-negative integer."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text!r}")
+    return value
+
+
 def _sha256(path: Path) -> str:
     h = hashlib.sha256()
     with open(path, "rb") as fh:
@@ -261,7 +272,7 @@ def _load_simulation_config(path: str, seed_override: int | None) -> tuple[monte
         replications = int(doc["replications"])
     except KeyError as exc:
         raise UsageError(f"config is missing field {exc}") from exc
-    master_seed = int(seed_override if seed_override is not None else doc.get("master_seed", DEFAULT_SEED))
+    master_seed = seed_override if seed_override is not None else doc.get("master_seed", DEFAULT_SEED)
     config = montecarlo.SimulationConfig(
         family=family, theta_model=theta_model, n_target=n_target,
         replications=replications, master_seed=master_seed,
@@ -437,7 +448,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--threads", type=int, default=0,
                        help="worker threads for simulation engines (0 = auto)")
         if seeded:
-            p.add_argument("--seed", type=int, default=DEFAULT_SEED, help="master seed")
+            p.add_argument("--seed", type=_seed, default=DEFAULT_SEED, help="master seed")
 
     p = sub.add_parser("records", help="extract record values from a sequence file")
     p.add_argument("--input", required=True, help="sequence file or bundled dataset name")
@@ -459,7 +470,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="bias/risk table from a simulation config")
     p.add_argument("--config", required=True, help="simulation config JSON file")
-    p.add_argument("--seed", type=int, default=None, help="override the config master seed")
+    p.add_argument("--seed", type=_seed, default=None, help="override the config master seed")
     p.add_argument("--out", default="recsel-out")
     p.add_argument("--threads", type=int, default=0)
     p.set_defaults(func=cmd_simulate)

@@ -136,6 +136,9 @@ class ThetaStream:
         self._index = np.zeros(m, dtype=np.int64)  # observations generated so far
         self._ar_prev = np.zeros(m)  # theta_0 = 0 for the autoregressive scheme
         self._geo_cd = np.full((2, m), np.nan)  # (c, d) once drawn, fixed-constant geometric
+        # (rows, positions) of values that left the model: a geometric
+        # exponent clamped at 700 or a white-noise draw <= 0 redrawn
+        self.departures: list[tuple[np.ndarray, np.ndarray]] = []
         if model.scheme == Scheme.USER_SUPPLIED:
             self._user = np.asarray(model.params["thetas"], dtype=float)
 
@@ -161,19 +164,20 @@ class ThetaStream:
         elif scheme == Scheme.STOCHASTIC_GEOMETRIC:
             idx = (i0[:, None] + np.arange(1, count + 1)).astype(float)
             if self.model.params.get("redraw_per_index", True):
-                c = np.empty(shape)
-                d = np.empty(shape)
-                for rng, c_row, d_row in zip(rngs, c, d):
-                    rng.random(out=c_row)
-                    rng.random(out=d_row)
+                cd = np.empty((rows.size, 2, count))
+                for rng, cd_row in zip(rngs, cd):
+                    rng.random(out=cd_row)  # c then d, as two calls would draw them
+                c, d = cd[:, 0], cd[:, 1]
             else:
                 for i, rng in zip(rows, rngs):
                     if np.isnan(self._geo_cd[0, i]):
                         self._geo_cd[:, i] = rng.random(), rng.random()
                 c, d = self._geo_cd[:, rows, None]
-            # exponent capped: overflow is unreachable in practice because
-            # records arrive long before i ~ 1e4, but keep the engine finite
-            out = c * np.exp(np.minimum((idx - 1.0) * np.log1p(d / 10.0), 700.0))
+            # exponent capped to keep the engine finite; it can first bind at
+            # i ~ 7.3e3, long after records usually end a replicate
+            expo = (idx - 1.0) * np.log1p(d / 10.0)
+            self._note(expo > 700.0, rows, i0)
+            out = c * np.exp(np.minimum(expo, 700.0))
         elif scheme == Scheme.WHITE_NOISE:
             mean = float(self.model.params.get("mean", 10.0))
             sd = float(self.model.params.get("sd", 1.0))
@@ -181,9 +185,11 @@ class ThetaStream:
             for rng, row in zip(rngs, out):
                 rng.standard_normal(out=row)
             out = mean + sd * out
-            for j in np.flatnonzero(np.any(out <= 0, axis=1)):
+            nonpositive = out <= 0  # probability ~ 7.6e-24 per draw at the defaults
+            self._note(nonpositive, rows, i0)
+            for j in np.flatnonzero(nonpositive.any(axis=1)):
                 row = out[j]
-                while np.any(row <= 0):  # probability ~ 7.6e-24 per draw at the defaults
+                while np.any(row <= 0):
                     bad = row <= 0
                     row[bad] = mean + sd * rngs[j].standard_normal(int(bad.sum()))
         elif scheme == Scheme.USER_SUPPLIED:
@@ -196,6 +202,12 @@ class ThetaStream:
             raise UsageError(f"unknown scheme {scheme}")
         self._index[rows] += count
         return out[0] if self._single else out
+
+    def _note(self, hit: np.ndarray, rows: np.ndarray, i0: np.ndarray) -> None:
+        """Keep the rows and 1-based positions of the values marked in hit."""
+        if hit.any():
+            r, col = np.nonzero(hit)
+            self.departures.append((rows[r], i0[r] + col + 1))
 
     def next(self) -> float:
         return float(self.take(1)[0])
@@ -221,6 +233,11 @@ class SimulationConfig:
     max_observations: int = 10**7
 
     def __post_init__(self):
+        seed = self.master_seed
+        # a bool or float would pass int(); a negative seed has no stream keys
+        if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+            raise UsageError(f"master_seed must be a non-negative integer, got {seed!r}")
+        object.__setattr__(self, "master_seed", int(seed))
         if self.n_target < 1:
             raise UsageError("n_target must be >= 1")
         if self.replications < 1:
@@ -239,6 +256,8 @@ class SimulationDraws:
     s_inv: np.ndarray  # cumulative 1/theta at the record times
     truncated: np.ndarray  # bool per replicate
     observations: np.ndarray  # observations consumed per replicate
+    geometric_exponent_clamped: int = 0  # used theta values with a clamped exponent
+    white_noise_redraws: int = 0  # used theta values redrawn for being <= 0
 
     @property
     def ok(self) -> np.ndarray:
@@ -246,9 +265,12 @@ class SimulationDraws:
 
     def counters(self) -> dict:
         """Seed-determined engine counters: observations consumed per
-        replicate, truncated replicates and the random-stream layout.  The
-        percentiles are order statistics, pq the ceil(q n / 100)-th smallest
-        of n (np.percentile would import numpy.ma, ~1 MB, for this alone)."""
+        replicate, truncated replicates, the theta values replicates used
+        (up to their last observation) that left the model, by a clamped
+        geometric exponent or a non-positive white-noise draw that was
+        redrawn, and the random-stream layout.  The percentiles are order
+        statistics, pq the ceil(q n / 100)-th smallest of n (np.percentile
+        would import numpy.ma, ~1 MB, for this alone)."""
         obs = np.sort(self.observations)
         return {
             "observations_per_replicate": {
@@ -257,24 +279,32 @@ class SimulationDraws:
                 "max": int(obs[-1]),
             },
             "truncated": int(np.count_nonzero(self.truncated)),
+            "geometric_exponent_clamped": self.geometric_exponent_clamped,
+            "white_noise_redraws": self.white_noise_redraws,
             "stream_layout": STREAM_LAYOUT,
         }
 
 
-def _simulate_rows(config: SimulationConfig, start: int, stop: int, draws: SimulationDraws) -> None:
+def _simulate_rows(config: SimulationConfig, start: int, stop: int, draws: SimulationDraws,
+                   pool: list) -> int:
     """Replicates start..stop-1 advanced together through the block schedule
-    until each reaches the n_target-th canonical record or max_observations.
+    until each reaches the n_target-th canonical record or max_observations;
+    returns how many theta values they used left the model (ThetaStream
+    departures up to each row's last observation).
 
     Every live row shares the offset and block size.  A row draws from its
     own replicate stream in a fixed order per block (theta draws, then the
     canonical Gamma/exponential draws); unused tail draws of its final block
     are discarded, which affects nothing downstream.  Live rows go through
     each block in groups of at most _BATCH_ELEMENTS observations (one row
-    when a block is longer).
+    when a block is longer).  Row i draws from pool[i], reset to its replicate
+    stream; rows past the pool's end get new generators, which join it.
     """
     n_target = config.n_target
     cap = config.max_observations
-    rngs = [replicate_stream(config.master_seed, r) for r in range(start, stop)]
+    rngs = [replicate_stream(config.master_seed, r, pool[i] if i < len(pool) else None)
+            for i, r in enumerate(range(start, stop))]
+    pool[len(pool):] = rngs[len(pool):]
     theta_stream = ThetaStream(config.theta_model, rngs)
     gamma_kind = config.family.kind == families.Kind.GAMMA_TYPE
     shape_p = config.family.shape_p
@@ -334,6 +364,8 @@ def _simulate_rows(config: SimulationConfig, start: int, stop: int, draws: Simul
     draws.thetas[out] = np.nan
     draws.s_inv[out] = np.nan
     draws.times[out] = 0
+    used = draws.observations[start:stop]
+    return sum(int(np.count_nonzero(pos <= used[r])) for r, pos in theta_stream.departures)
 
 
 def simulate_records(config: SimulationConfig, threads: int = 1) -> SimulationDraws:
@@ -349,17 +381,21 @@ def simulate_records(config: SimulationConfig, threads: int = 1) -> SimulationDr
         truncated=np.zeros(reps, dtype=bool),
         observations=np.zeros(reps, dtype=np.int64))
 
-    def do_chunk(start: int, stop: int):
-        for s in range(start, stop, _BATCH_ROWS):
-            _simulate_rows(config, s, min(s + _BATCH_ROWS, stop), draws)
+    def do_chunk(start: int, stop: int) -> int:
+        pool = []  # the task's generators, reset for each batch
+        return sum(_simulate_rows(config, s, min(s + _BATCH_ROWS, stop), draws, pool)
+                   for s in range(start, stop, _BATCH_ROWS))
 
     spans = [(s, min(s + _CHUNK, reps)) for s in range(0, reps, _CHUNK)]
     if threads and threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(lambda span: do_chunk(*span), spans))
+        with ThreadPoolExecutor(max_workers=threads) as executor:
+            departures = sum(executor.map(lambda span: do_chunk(*span), spans))
     else:
-        for span in spans:
-            do_chunk(*span)
+        departures = sum(do_chunk(*span) for span in spans)
+    if config.theta_model.scheme == Scheme.STOCHASTIC_GEOMETRIC:
+        draws.geometric_exponent_clamped = departures
+    elif config.theta_model.scheme == Scheme.WHITE_NOISE:
+        draws.white_noise_redraws = departures
     return draws
 
 

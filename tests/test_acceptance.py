@@ -190,6 +190,7 @@ def _table1_cell_checks(model, p, ref_cells, seed):
     return strict, noise_aware, values, biases
 
 
+@pytest.mark.slow
 def test_criterion_3_table1_reproduction():
     """Gamma family, three schemes, p in {0.5, 2}, n in {2, 3, 4}, 1e5
     replications per cell: risk ordering, value reproduction, and UMVUE
@@ -234,6 +235,7 @@ def test_criterion_3_table1_reproduction():
     assert ok, detail
 
 
+@pytest.mark.slow
 def test_criterion_4_unbiasedness_suite():
     """Selection estimators and risk estimators are unbiased within 4 SE at
     n in {2, 3} under constant and geometric schemes, 1e5 reps; < 5 min."""
@@ -285,6 +287,7 @@ def test_criterion_4_unbiasedness_suite():
     assert ok, detail
 
 
+@pytest.mark.slow
 def test_criterion_5_risk_identities():
     """Quadrature risk estimators match the closed forms to 1e-9 relative on
     100 random record pairs; simulated risk of the spacing estimator equals
@@ -331,6 +334,7 @@ def test_criterion_5_risk_identities():
     assert ok, detail
 
 
+@pytest.mark.slow
 def test_criterion_6_spacing_mixture():
     """Record spacing survival matches the memoryless mixture within 0.015
     at 1e5 replications for constant and geometric schemes, n = 3."""

@@ -192,9 +192,38 @@ class TestSimulateCommand:
         assert counters == {
             "observations_per_replicate": {"p50": obs[999], "p99": obs[1979], "max": obs[-1]},
             "truncated": int(draws.truncated.sum()),
+            "geometric_exponent_clamped": 0,
+            "white_noise_redraws": 0,
             "stream_layout": 1,
         }
         assert counters["observations_per_replicate"]["max"] > counters["observations_per_replicate"]["p50"]
+
+    # clamped thetas near e^700 overflow the table's squared errors to inf
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    @pytest.mark.parametrize("scheme, params, n_target, key", [
+        ("white_noise", {"mean": 0.5, "sd": 1.0}, 4, "white_noise_redraws"),
+        # a few rows are still short of 170 records past i ~ 7.3e3
+        ("stochastic_geometric", {}, 170, "geometric_exponent_clamped"),
+    ])
+    def test_departure_counters(self, tmp_path, scheme, params, n_target, key):
+        """Redrawn and clamped theta values reach the manifest, the same at
+        every thread count (tests/test_montecarlo.py checks the counts)."""
+        path = self.config(tmp_path, reps=100, scheme=scheme, params=params)
+        doc = json.loads(path.read_text())
+        doc.update(n_target=n_target)
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        seen = []
+        for threads in ("1", "2", "8"):
+            out = tmp_path / threads
+            assert run("simulate", "--config", str(path), "--threads", threads, "--out", str(out)) == 0
+            seen.append(json.loads((out / "manifest.json").read_text())["counters"])
+        draws = montecarlo.simulate_records(montecarlo.SimulationConfig(
+            family=families.from_json_dict(doc["family"]),
+            theta_model=montecarlo.ParameterSequenceModel.from_json_dict(doc["theta_model"]),
+            n_target=n_target, replications=100, master_seed=doc["master_seed"]))
+        assert seen == [draws.counters()] * 3
+        assert seen[0][key] == getattr(draws, key) > 0
 
 
 class TestCritvalsCommand:
@@ -394,6 +423,58 @@ def test_cli_subcommands_do_not_import_scipy(tmp_path):
     result = json.loads(proc.stdout.strip().splitlines()[-1])
     assert result["codes"] == [0] * 6
     assert result["scipy"] == []
+
+
+def test_cli_start_up_does_not_import_numpy_random():
+    """numpy.random (~17 ms) is imported when a stream is first built, not
+    by importing the CLI or building its parser."""
+    src = str(Path(recsel.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = ("import sys, recsel.cli; recsel.cli.build_parser(); "
+            "print(sorted(m for m in sys.modules if m.startswith('numpy.random')))")
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          timeout=600)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+class TestSeedValidation:
+    """A negative or non-integer master seed is a usage error (exit 2) that
+    names the field, on the command line and in a simulate config."""
+
+    @pytest.mark.parametrize("command", [
+        ["simulate", "--config", "<config>"],
+        ["critvals", "--reps", "100"],
+        ["test", "--input", "lacc-rainfall-records", "--family", "lacc-rainfall-records"],
+        ["demo-rainfall"],
+    ], ids=["simulate", "critvals", "test", "demo-rainfall"])
+    @pytest.mark.parametrize("seed", ["-1", "1.5", "seven"])
+    def test_seed_flag(self, tmp_path, capsys, command, seed):
+        config = TestSimulateCommand().config(tmp_path, reps=10)
+        argv = [str(config) if a == "<config>" else a for a in command]
+        with pytest.raises(SystemExit) as exc:
+            run(*argv, "--seed", seed, "--out", str(tmp_path / "o"))
+        assert exc.value.code == 2
+        assert "argument --seed: must be a non-negative integer" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, "7", True, None])
+    def test_config_master_seed(self, tmp_path, capsys, seed):
+        config = TestSimulateCommand().config(tmp_path, reps=10)
+        doc = json.loads(config.read_text())
+        doc["master_seed"] = seed
+        config.write_text(json.dumps(doc), encoding="utf-8")
+        assert run("simulate", "--config", str(config), "--out", str(tmp_path / "o")) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: master_seed must be a non-negative integer")
+
+    def test_config_seed_override_wins(self, tmp_path):
+        config = TestSimulateCommand().config(tmp_path, reps=10)
+        doc = json.loads(config.read_text())
+        doc["master_seed"] = -1
+        config.write_text(json.dumps(doc), encoding="utf-8")
+        out = tmp_path / "o"
+        assert run("simulate", "--config", str(config), "--seed", str(2**130), "--out", str(out)) == 0
+        assert json.loads((out / "manifest.json").read_text())["master_seed"] == 2**130
 
 
 def reference_load(path):

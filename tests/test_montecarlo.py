@@ -310,11 +310,13 @@ def reference_affine_scan(mult, add):
 
 
 def reference_thetas(model: ParameterSequenceModel, rng: np.random.Generator):
-    """Theta blocks of one replicate: send(count) gives the next count values."""
+    """Theta blocks of one replicate: send(count) gives the next count values
+    and a mask of those that left the model (clamped or redrawn)."""
     index, ar_prev, geo_cd = 0, 0.0, None
     out = None
     while True:
         count = yield out
+        departed = np.zeros(count, dtype=bool)
         if model.scheme == Scheme.CONSTANT:
             out = np.full(count, float(model.params["value"]))
         elif model.scheme == Scheme.AR_POSITIVE_ERROR:
@@ -332,16 +334,20 @@ def reference_thetas(model: ParameterSequenceModel, rng: np.random.Generator):
                 if geo_cd is None:
                     geo_cd = (float(rng.random()), float(rng.random()))
                 c, d = geo_cd
-            out = c * np.exp(np.minimum((idx - 1.0) * np.log1p(np.asarray(d) / 10.0), 700.0))
+            exponent = (idx - 1.0) * np.log1p(np.asarray(d) / 10.0)
+            departed = exponent > 700.0
+            out = c * np.exp(np.minimum(exponent, 700.0))
         elif model.scheme == Scheme.WHITE_NOISE:
             mean, sd = float(model.params["mean"]), float(model.params["sd"])
             out = mean + sd * rng.standard_normal(count)
+            departed = out <= 0
             while np.any(out <= 0):
                 bad = out <= 0
                 out[bad] = mean + sd * rng.standard_normal(int(bad.sum()))
         else:
             out = np.asarray(model.params["thetas"][index:index + count], dtype=float)
         index += count
+        out = out, departed
 
 
 def reference_simulate(config: SimulationConfig) -> montecarlo.SimulationDraws:
@@ -353,11 +359,16 @@ def reference_simulate(config: SimulationConfig) -> montecarlo.SimulationDraws:
     truncated = np.zeros(reps, dtype=bool)
     observations = np.zeros(reps, dtype=np.int64)
     user = config.theta_model.scheme == Scheme.USER_SUPPLIED
+    departures = 0
     for r in range(reps):
-        rng = replicate_stream(config.master_seed, r)
+        # built from numpy directly, not through recsel.streams, so that the
+        # engine's stream keys and generator reuse are checked too
+        rng = np.random.Generator(np.random.Philox(
+            np.random.SeedSequence(config.master_seed, spawn_key=(r,))))
         stream = reference_thetas(config.theta_model, rng)
         next(stream)
         found, offset, cur_max, sinv_carry, block = 0, 0, -np.inf, 0.0, montecarlo._FIRST_BLOCK
+        departed_at = []  # 1-based positions of theta values that left the model
         while found < n_target and offset < cap:
             b = min(block, cap - offset)
             if user:
@@ -367,7 +378,8 @@ def reference_simulate(config: SimulationConfig) -> montecarlo.SimulationDraws:
                         f"user-supplied theta list exhausted after {offset} observations "
                         f"before record {n_target}")
                 b = min(b, left)
-            theta = stream.send(b)
+            theta, departed = stream.send(b)
+            departed_at.extend(offset + np.flatnonzero(departed) + 1)
             if config.family.kind == families.Kind.GAMMA_TYPE:
                 y = rng.standard_gamma(config.family.shape_p, b) * theta
             else:
@@ -392,10 +404,17 @@ def reference_simulate(config: SimulationConfig) -> montecarlo.SimulationDraws:
             truncated[r], observations[r] = True, offset
             values[r] = thetas[r] = s_inv[r] = np.nan
             times[r] = 0
-    return montecarlo.SimulationDraws(values, thetas, times, s_inv, truncated, observations)
+        departures += sum(1 for pos in departed_at if pos <= observations[r])
+    draws = montecarlo.SimulationDraws(values, thetas, times, s_inv, truncated, observations)
+    if config.theta_model.scheme == Scheme.STOCHASTIC_GEOMETRIC:
+        draws.geometric_exponent_clamped = departures
+    elif config.theta_model.scheme == Scheme.WHITE_NOISE:
+        draws.white_noise_redraws = departures
+    return draws
 
 
 DRAW_FIELDS = ("values", "thetas", "times", "s_inv", "truncated", "observations")
+COUNTERS = ("geometric_exponent_clamped", "white_noise_redraws")
 
 FAMILIES = (families.gamma_type(Member.GAMMA, p=0.5), families.gamma_type(Member.GAMMA, p=2.0),
             exp_family(), families.proportional_reversed_hazard(Member.BETA))
@@ -417,7 +436,8 @@ def outcome(simulate, config):
         draws = simulate(config)
     except DataError as exc:
         return str(exc)
-    return tuple(getattr(draws, f).tobytes() for f in DRAW_FIELDS)
+    return (tuple(getattr(draws, f).tobytes() for f in DRAW_FIELDS)
+            + tuple(getattr(draws, c) for c in COUNTERS))
 
 
 class TestMatchesReference:
@@ -435,7 +455,7 @@ class TestMatchesReference:
 
     @settings(max_examples=150, deadline=None)
     @given(family=st.sampled_from(FAMILIES), model=MODELS, n_target=st.integers(1, 5),
-           reps=st.integers(1, 200), seed=st.integers(0, 2**32 - 1),
+           reps=st.integers(1, 200), seed=st.integers(0, 2**130),
            cap=st.sampled_from([40, 700, 20000]))
     def test_bit_equal(self, family, model, n_target, reps, seed, cap):
         config = SimulationConfig(family=family, theta_model=model, n_target=n_target,
@@ -454,21 +474,35 @@ class TestMatchesReference:
 
     def test_many_threads_with_frequent_switches(self):
         """Workers write disjoint rows of the shared draws: eight threads on
-        short chunks, switching every 10 us, lose no row."""
+        short chunks, switching every 10 us, lose no row.  Chunks of 96 reuse
+        their generators for a second batch and share key blocks."""
         config = SimulationConfig(family=families.gamma_type(Member.GAMMA, p=0.5),
                                   theta_model=ParameterSequenceModel.white_noise(),
                                   n_target=3, replications=600, master_seed=53,
                                   max_observations=5000)
         expect = outcome(reference_simulate, config)
         interval = sys.getswitchinterval()
-        try:
-            sys.setswitchinterval(1e-5)
-            with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(montecarlo, "_CHUNK", 32)
-                got = outcome(lambda c: montecarlo.simulate_records(c, threads=8), config)
-        finally:
-            sys.setswitchinterval(interval)
-        assert got == expect
+        for chunk in (32, 96):
+            try:
+                sys.setswitchinterval(1e-5)
+                with pytest.MonkeyPatch.context() as mp:
+                    mp.setattr(montecarlo, "_CHUNK", chunk)
+                    got = outcome(lambda c: montecarlo.simulate_records(c, threads=8), config)
+            finally:
+                sys.setswitchinterval(interval)
+            assert got == expect, f"chunk={chunk}"
+
+    def test_clamped_exponents_are_counted(self):
+        # rows that are still short of 200 records past i ~ 7.3e3 use thetas
+        # whose geometric exponent was clamped; some reach the cap
+        config = SimulationConfig(family=exp_family(),
+                                  theta_model=ParameterSequenceModel.stochastic_geometric(),
+                                  n_target=200, replications=70, master_seed=54,
+                                  max_observations=12_000)
+        self.assert_same(config)
+        draws = montecarlo.simulate_records(config)
+        assert draws.truncated.any() and not draws.truncated.all()
+        assert draws.geometric_exponent_clamped > 0
 
     def test_theta_list_exhaustion_message(self):
         config = SimulationConfig(family=exp_family(),
