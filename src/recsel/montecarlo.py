@@ -136,9 +136,10 @@ class ThetaStream:
         self._index = np.zeros(m, dtype=np.int64)  # observations generated so far
         self._ar_prev = np.zeros(m)  # theta_0 = 0 for the autoregressive scheme
         self._geo_cd = np.full((2, m), np.nan)  # (c, d) once drawn, fixed-constant geometric
-        # (rows, positions) of values that left the model: a geometric
-        # exponent clamped at 700 or a white-noise draw <= 0 redrawn
-        self.departures: list[tuple[np.ndarray, np.ndarray]] = []
+        # (rows, count) mask of the values the last take drew that left the
+        # model, a geometric exponent clamped at 700 or a white-noise draw
+        # <= 0 redrawn; None when there were none
+        self.departed: np.ndarray | None = None
         if model.scheme == Scheme.USER_SUPPLIED:
             self._user = np.asarray(model.params["thetas"], dtype=float)
 
@@ -150,6 +151,7 @@ class ThetaStream:
         scheme = self.model.scheme
         i0 = self._index[rows]
         shape = (rows.size, count)
+        self.departed = None
         if scheme == Scheme.CONSTANT:
             out = np.full(shape, float(self.model.params["value"]))
         elif scheme == Scheme.AR_POSITIVE_ERROR:
@@ -176,7 +178,7 @@ class ThetaStream:
             # exponent capped to keep the engine finite; it can first bind at
             # i ~ 7.3e3, long after records usually end a replicate
             expo = (idx - 1.0) * np.log1p(d / 10.0)
-            self._note(expo > 700.0, rows, i0)
+            self._note(expo > 700.0)
             out = c * np.exp(np.minimum(expo, 700.0))
         elif scheme == Scheme.WHITE_NOISE:
             mean = float(self.model.params.get("mean", 10.0))
@@ -186,7 +188,7 @@ class ThetaStream:
                 rng.standard_normal(out=row)
             out = mean + sd * out
             nonpositive = out <= 0  # probability ~ 7.6e-24 per draw at the defaults
-            self._note(nonpositive, rows, i0)
+            self._note(nonpositive)
             for j in np.flatnonzero(nonpositive.any(axis=1)):
                 row = out[j]
                 while np.any(row <= 0):
@@ -203,11 +205,9 @@ class ThetaStream:
         self._index[rows] += count
         return out[0] if self._single else out
 
-    def _note(self, hit: np.ndarray, rows: np.ndarray, i0: np.ndarray) -> None:
-        """Keep the rows and 1-based positions of the values marked in hit."""
+    def _note(self, hit: np.ndarray) -> None:
         if hit.any():
-            r, col = np.nonzero(hit)
-            self.departures.append((rows[r], i0[r] + col + 1))
+            self.departed = hit
 
     def next(self) -> float:
         return float(self.take(1)[0])
@@ -290,7 +290,7 @@ def _simulate_rows(config: SimulationConfig, start: int, stop: int, draws: Simul
     """Replicates start..stop-1 advanced together through the block schedule
     until each reaches the n_target-th canonical record or max_observations;
     returns how many theta values they used left the model (ThetaStream
-    departures up to each row's last observation).
+    departures up to each row's last observation, counted block by block).
 
     Every live row shares the offset and block size.  A row draws from its
     own replicate stream in a fixed order per block (theta draws, then the
@@ -313,6 +313,7 @@ def _simulate_rows(config: SimulationConfig, start: int, stop: int, draws: Simul
     found = np.zeros(live.size, dtype=np.int64)
     extreme = np.full(live.size, -np.inf)
     sinv_carry = np.zeros(live.size)
+    departures = 0
     offset = 0
     block = _FIRST_BLOCK
     while live.size and offset < cap:
@@ -354,6 +355,12 @@ def _simulate_rows(config: SimulationConfig, start: int, stop: int, draws: Simul
             last = rank == n_target - 1
             draws.observations[out[last]] = offset + rec_col[last] + 1
             found[rows] = np.minimum(found[rows] + per_row, n_target)
+            hit = theta_stream.departed
+            if hit is not None:
+                # a row that ends here used its block up to its last record
+                used = np.full(rows.size, b)
+                used[rec_row[last]] = rec_col[last] + 1
+                departures += int(np.count_nonzero(hit & (np.arange(b) < used[:, None])))
         offset += b
         block = min(block * 2, _MAX_BLOCK)
         live = live[found[live] < n_target]
@@ -364,8 +371,7 @@ def _simulate_rows(config: SimulationConfig, start: int, stop: int, draws: Simul
     draws.thetas[out] = np.nan
     draws.s_inv[out] = np.nan
     draws.times[out] = 0
-    used = draws.observations[start:stop]
-    return sum(int(np.count_nonzero(pos <= used[r])) for r, pos in theta_stream.departures)
+    return departures
 
 
 def simulate_records(config: SimulationConfig, threads: int = 1) -> SimulationDraws:

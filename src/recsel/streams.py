@@ -86,10 +86,11 @@ def _words(n: int) -> list[int]:
     return words
 
 
-def _constants(hc: int, mult: int, count: int) -> np.ndarray:
-    """The hash constants hc, hc*mult, ... (count + 1 of them) as a uint32 column."""
+def _constants(hc: int, mult: int) -> np.ndarray:
+    """The hash constants hc, hc*mult, ... (_POOL_SIZE + 1 of them) as a
+    uint32 column."""
     out = [hc]
-    for _ in range(count):
+    for _ in range(_POOL_SIZE):
         out.append(out[-1] * mult & _MASK)
     return np.array(out, dtype=np.uint32)[:, None]
 
@@ -124,24 +125,21 @@ def _key_block(master_seed: int, block: int) -> list[list[int]]:
     SeedSequence(entropy=master_seed, spawn_key=(r,)).generate_state(2, uint64).
 
     The pool's four words are the rows of a (4, _KEY_BLOCK) array, so each
-    hashing step acts on every pool word of every replicate at once.  A block
-    never straddles 2**32, so its indices share their word count."""
+    hashing step acts on every pool word of every replicate at once.  Indices
+    from 2**32 on, two spawn words and far more replicates than memory holds,
+    take numpy's own path."""
     first = block * _KEY_BLOCK
-    if first + _KEY_BLOCK > 2**64:  # past uint64 arithmetic: numpy's own path
+    if first + _KEY_BLOCK > 2**32:
         return [np.random.SeedSequence(master_seed, spawn_key=(r,)).generate_state(2, np.uint64).tolist()
                 for r in range(first, first + _KEY_BLOCK)]
     pool, hc = _seed_pool(master_seed)
-    r = np.arange(first, first + _KEY_BLOCK, dtype=np.uint64)
-    n_words = len(_words(first))
-    hcs = _constants(hc, _MULT_A, _POOL_SIZE * n_words)
-    for j in range(n_words):
-        w = (r >> (32 * j)).astype(np.uint32)  # the cast keeps the low 32 bits
-        k = _POOL_SIZE * j
-        h = (w ^ hcs[k:k + _POOL_SIZE]) * hcs[k + 1:k + _POOL_SIZE + 1]
-        pool = _mix(pool, h ^ (h >> 16))
+    w = np.arange(first, first + _KEY_BLOCK, dtype=np.uint32)  # the one spawn word
+    hcs = _constants(hc, _MULT_A)
+    h = (w ^ hcs[:-1]) * hcs[1:]
+    pool = _mix(pool, h ^ (h >> 16))
     # generate_state(2, uint64): four words, one per pool word, then viewed
     # in little-endian pairs
-    hcs = _constants(_INIT_B, _MULT_B, _POOL_SIZE)
+    hcs = _constants(_INIT_B, _MULT_B)
     h = (pool ^ hcs[:-1]) * hcs[1:]
     state = np.ascontiguousarray((h ^ (h >> 16)).T, dtype="<u4")
     return state.view("<u8").tolist()

@@ -2,6 +2,7 @@
 
 import math
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -368,7 +369,6 @@ def reference_simulate(config: SimulationConfig) -> montecarlo.SimulationDraws:
         stream = reference_thetas(config.theta_model, rng)
         next(stream)
         found, offset, cur_max, sinv_carry, block = 0, 0, -np.inf, 0.0, montecarlo._FIRST_BLOCK
-        departed_at = []  # 1-based positions of theta values that left the model
         while found < n_target and offset < cap:
             b = min(block, cap - offset)
             if user:
@@ -379,7 +379,6 @@ def reference_simulate(config: SimulationConfig) -> montecarlo.SimulationDraws:
                         f"before record {n_target}")
                 b = min(b, left)
             theta, departed = stream.send(b)
-            departed_at.extend(offset + np.flatnonzero(departed) + 1)
             if config.family.kind == families.Kind.GAMMA_TYPE:
                 y = rng.standard_gamma(config.family.shape_p, b) * theta
             else:
@@ -395,7 +394,9 @@ def reference_simulate(config: SimulationConfig) -> montecarlo.SimulationDraws:
                 found += 1
             if found == n_target:
                 observations[r] = times[r, -1]
+                departures += int(np.count_nonzero(departed[:observations[r] - offset]))
                 break
+            departures += int(np.count_nonzero(departed))
             cur_max = max(cur_max, float(running[-1]))
             sinv_carry = float(sinv[-1])
             offset += b
@@ -404,7 +405,6 @@ def reference_simulate(config: SimulationConfig) -> montecarlo.SimulationDraws:
             truncated[r], observations[r] = True, offset
             values[r] = thetas[r] = s_inv[r] = np.nan
             times[r] = 0
-        departures += sum(1 for pos in departed_at if pos <= observations[r])
     draws = montecarlo.SimulationDraws(values, thetas, times, s_inv, truncated, observations)
     if config.theta_model.scheme == Scheme.STOCHASTIC_GEOMETRIC:
         draws.geometric_exponent_clamped = departures
@@ -503,6 +503,25 @@ class TestMatchesReference:
         draws = montecarlo.simulate_records(config)
         assert draws.truncated.any() and not draws.truncated.all()
         assert draws.geometric_exponent_clamped > 0
+
+    def test_departures_are_counted_in_bounded_memory(self):
+        # once the clamp binds for most positions records come at a log rate,
+        # so every row runs to the cap, clamping ~96% of its 10**6 values
+        config = SimulationConfig(family=exp_family(),
+                                  theta_model=ParameterSequenceModel.stochastic_geometric(),
+                                  n_target=300, replications=3, master_seed=55,
+                                  max_observations=10**6)
+        tracemalloc.start()
+        try:
+            draws = montecarlo.simulate_records(config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert draws.truncated.all()
+        expect = reference_simulate(config).geometric_exponent_clamped
+        assert draws.geometric_exponent_clamped == expect > 2_800_000
+        # one 65,536-observation block's matrices, not a record per clamped value
+        assert peak < 16 * 2**20
 
     def test_theta_list_exhaustion_message(self):
         config = SimulationConfig(family=exp_family(),

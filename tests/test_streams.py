@@ -12,13 +12,14 @@ from recsel.streams import replicate_stream
 # pool), exactly the pool's four, and more words than the pool holds
 SEED_EDGES = [0, 1, 2**32 - 1, 2**32, 2**64, 2**96 - 1, 2**96, 2**128 - 1, 2**128,
               2**128 + 12345, 2**200 + 7]
-# spawn-word edges: block boundaries, a second word at 2**32, and past 2**64,
-# where keys come from numpy's own SeedSequence
-INDEX_EDGES = [0, 1, streams._KEY_BLOCK - 1, streams._KEY_BLOCK, 2**32 - 1, 2**32,
-               2**32 + streams._KEY_BLOCK, 2**64 - 1, 2**64, 2**70 + 3]
+# spawn-word edges: block boundaries up to the last one-word index, and from
+# 2**32 (two words) on, where keys come from numpy's own SeedSequence
+INDEX_EDGES = [0, 1, streams._KEY_BLOCK - 1, streams._KEY_BLOCK, 2**32 - streams._KEY_BLOCK,
+               2**32 - 1, 2**32, 2**32 + streams._KEY_BLOCK, 2**64, 2**70 + 3]
 
 SEEDS = st.one_of(st.sampled_from(SEED_EDGES), st.integers(0, 2**32 - 1), st.integers(0, 2**260))
-INDICES = st.one_of(st.sampled_from(INDEX_EDGES), st.integers(0, 10**6), st.integers(0, 2**66))
+INDICES = st.one_of(st.sampled_from(INDEX_EDGES), st.integers(0, 10**6), st.integers(0, 2**32 - 1),
+                    st.integers(0, 2**66))
 
 
 def fresh(master_seed, r):
