@@ -2,11 +2,12 @@
 joint record limits, the perfect-dependence correlation trend, and the
 o(n) decay of the selection estimator's risk rate.
 
-Constant-theta configurations use an exact record-process sampler (record
-values advance by memoryless exponential spacings; waiting times are
-conditionally geometric given the current record level), because streaming
-observations to the n-th record needs on the order of e^n draws.  Other
-schemes fall back to the literal streaming engine.
+Constant-theta configurations use the exact record chain of
+`montecarlo.record_chain` (record values advance by memoryless exponential
+spacings; waiting times are conditionally geometric given the current record
+level) with float record times, because streaming observations to the n-th
+record needs on the order of e^n draws and the engine's int64 times overflow
+past n ~ 44.  Other schemes fall back to the literal streaming engine.
 """
 
 from __future__ import annotations
@@ -45,30 +46,19 @@ def _exp_base_family() -> families.FamilySpec:
     return families.proportional_hazard(families.Member.EXPONENTIAL)
 
 
-def iid_record_chain(theta: float, n: int, reps: int,
-                     rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    """Exact joint sample of (record values, record times) for iid
-    exponential-scale observations with mean theta.
+def _record_chain(n: int, reps: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """Record levels (in units of theta) and float record times of reps
+    constant-theta replicates, up to record n.
 
-    Values advance by iid Exp(theta) spacings.  Given the current record
-    level u at time m, the wait for the next record is geometric with
-    success probability exp(-u/theta); times are carried in float64 because
-    they reach e^n.
-    """
-    if theta <= 0:
-        raise UsageError("theta must be > 0")
-    if n < 1 or reps < 1:
-        raise UsageError("need n >= 1 and reps >= 1")
-    spacings = rng.exponential(theta, size=(reps, n))
-    values = np.cumsum(spacings, axis=1)
-    times = np.ones(reps)
-    for k in range(1, n):
-        level = values[:, k - 1]
-        q = np.exp(-level / theta)
-        u = 1.0 - rng.random(reps)  # in (0, 1]
-        gaps = 1.0 + np.floor(np.log(u) / np.log1p(-q))
-        times = times + gaps
-    return values, times
+    The n spacings come first, then each record's wait draw as -log(1 - U),
+    one uniform per replicate and record: the order the diagnostics have
+    always drawn in, so seeded diagnostics keep their values."""
+    if reps < 1:
+        raise UsageError("need reps >= 1")
+    e = np.empty((reps, 2 * n - 1))
+    e[:, :n] = rng.standard_exponential((reps, n))
+    e[:, n:] = -np.log(1.0 - rng.random((n - 1, reps))).T
+    return montecarlo.record_chain(e)
 
 
 def _simulate(theta_model: montecarlo.ParameterSequenceModel, n: int, reps: int,
@@ -79,9 +69,8 @@ def _simulate(theta_model: montecarlo.ParameterSequenceModel, n: int, reps: int,
         raise UsageError("need n >= 2 records for the joint diagnostics")
     if theta_model.scheme == montecarlo.Scheme.CONSTANT:
         theta = float(theta_model.params["value"])
-        values, times = iid_record_chain(theta, n, reps, rng)
-        log_s = np.log(times / theta)
-        return values[:, n - 1], values[:, n - 2], log_s
+        levels, times = _record_chain(n, reps, rng)
+        return theta * levels[:, n - 1], theta * levels[:, n - 2], np.log(times[:, n - 1] / theta)
     # literal streaming fallback: only sensible for schemes whose records
     # arrive quickly (improving populations) or for moderate n
     seed = int(rng.integers(0, 2**63 - 1))
@@ -155,9 +144,9 @@ def risk_rate(theta_model: montecarlo.ParameterSequenceModel, n_list, reps: int,
             raise UsageError("need n >= 1")
         if theta_model.scheme == montecarlo.Scheme.CONSTANT:
             theta = float(theta_model.params["value"])
-            values, _ = iid_record_chain(theta, n, reps, rng)
-            prev = values[:, n - 2] if n > 1 else np.zeros(reps)
-            err = (values[:, n - 1] - prev) - theta
+            levels, _ = _record_chain(n, reps, rng)
+            prev = levels[:, n - 2] if n > 1 else 0.0
+            err = theta * (levels[:, n - 1] - prev) - theta
         else:
             seed = int(rng.integers(0, 2**63 - 1))
             config = montecarlo.SimulationConfig(

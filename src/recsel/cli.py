@@ -281,6 +281,19 @@ def _load_simulation_config(path: str, seed_override: int | None) -> tuple[monte
     return config, n_values, doc
 
 
+def _cell_list(cells) -> str:
+    """Cells named by estimator and runs of n, as 'umvue_gamma n=1-3,5'."""
+    runs: dict[str, list[list[int]]] = {}
+    for c in cells:
+        est = runs.setdefault(c.estimator.value, [])
+        if est and est[-1][1] == c.n - 1:
+            est[-1][1] = c.n
+        else:
+            est.append([c.n, c.n])
+    return "; ".join(f"{name} n=" + ",".join(str(a) if a == b else f"{a}-{b}" for a, b in ns)
+                     for name, ns in runs.items())
+
+
 def cmd_simulate(args) -> int:
     outdir = _outdir(args)
     config, n_values, doc = _load_simulation_config(args.config, args.seed)
@@ -292,6 +305,12 @@ def cmd_simulate(args) -> int:
     if config.replications == 1:
         print("warning: single replicate, standard errors undefined (reported as nan)",
               file=sys.stderr)
+    bad = [c for c in summary.cells if not c.finite]
+    if bad:
+        departures = ", ".join(f"{k}={summary.counters[k]}" for k in (
+            "truncated", "geometric_exponent_clamped", "white_noise_redraws"))
+        print(f"warning: {len(bad)} of {len(summary.cells)} table cells are not finite "
+              f"({_cell_list(bad)}); departures from the model: {departures}", file=sys.stderr)
     manifest = _write_manifest(outdir, "simulate",
                                {"config": doc, "master_seed": config.master_seed},
                                config.master_seed, [Path(args.config)], [out_csv, out_json],

@@ -3,7 +3,9 @@ bias/risk tables for the selection estimators.
 
 Replicate r always draws from an independent counter-based stream keyed by
 (master_seed, r) and partial results are reduced in replicate order, so
-summaries are bit-identical for any number of worker threads.
+summaries are bit-identical for any number of worker threads.  Constant-theta
+hazard-family replicates are sampled as exact record chains; every other
+config streams observations up to the n-th record.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ _CHUNK = 2048  # replicates per worker task, independent of worker count
 _BATCH_ELEMENTS = 4096  # observations per (rows x block) matrix, at least one row
 _BATCH_ROWS = _BATCH_ELEMENTS // _FIRST_BLOCK  # replicate streams held at once
 STREAM_LAYOUT = 1  # version of the replicate-to-stream mapping
+_MAX_TIME = 2**62  # latest record time a record chain stores in int64
 MAX_TRUNCATION_FRACTION = 0.01
 
 
@@ -258,6 +261,7 @@ class SimulationDraws:
     observations: np.ndarray  # observations consumed per replicate
     geometric_exponent_clamped: int = 0  # used theta values with a clamped exponent
     white_noise_redraws: int = 0  # used theta values redrawn for being <= 0
+    sampler: str = "stream"  # "stream" or "record_chain"
 
     @property
     def ok(self) -> np.ndarray:
@@ -268,9 +272,9 @@ class SimulationDraws:
         replicate, truncated replicates, the theta values replicates used
         (up to their last observation) that left the model, by a clamped
         geometric exponent or a non-positive white-noise draw that was
-        redrawn, and the random-stream layout.  The percentiles are order
-        statistics, pq the ceil(q n / 100)-th smallest of n (np.percentile
-        would import numpy.ma, ~1 MB, for this alone)."""
+        redrawn, the sampler that ran and the random-stream layout.  The
+        percentiles are order statistics, pq the ceil(q n / 100)-th smallest
+        of n (np.percentile would import numpy.ma, ~1 MB, for this alone)."""
         obs = np.sort(self.observations)
         return {
             "observations_per_replicate": {
@@ -281,8 +285,80 @@ class SimulationDraws:
             "truncated": int(np.count_nonzero(self.truncated)),
             "geometric_exponent_clamped": self.geometric_exponent_clamped,
             "white_noise_redraws": self.white_noise_redraws,
+            "sampler": self.sampler,
             "stream_layout": STREAM_LAYOUT,
         }
+
+
+def _batch_streams(config: SimulationConfig, start: int, stop: int, pool: list) -> list:
+    """Replicate streams of start..stop-1: row i gets pool[i], reset to its
+    replicate stream; rows past the pool's end get new generators, which
+    join it."""
+    rngs = [replicate_stream(config.master_seed, r, pool[i] if i < len(pool) else None)
+            for i, r in enumerate(range(start, stop))]
+    pool[len(pool):] = rngs[len(pool):]
+    return rngs
+
+
+def _truncate(draws: SimulationDraws, rows: np.ndarray, observations: int) -> None:
+    """Flag rows stopped after `observations` short of their n-th record."""
+    draws.truncated[rows] = True
+    draws.observations[rows] = observations
+    draws.values[rows] = np.nan
+    draws.thetas[rows] = np.nan
+    draws.s_inv[rows] = np.nan
+    draws.times[rows] = 0
+
+
+def record_chain(e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Exact record levels and record times of iid exponential observations,
+    from standard exponential draws e of shape (rows, 2n - 1).
+
+    Levels, in units of the observations' mean, cumulate the first n draws:
+    records advance by memoryless Exp(1) spacings.  Given level L_k, the
+    wait for the next record is geometric with success exp(-L_k), and draw
+    n + k turns into it as 1 + floor(E / -log1p(-exp(-L_k))).  Times are 1
+    plus the cumulated waits, in float64: they grow like e^n, past int64
+    from n ~ 44 on.  A success probability that underflows to 0 gives an
+    infinite wait, never NaN (Arnold, Balakrishnan & Nagaraja, Records,
+    1998).
+    """
+    n = (e.shape[1] + 1) // 2
+    levels = np.cumsum(e[:, :n], axis=1)
+    times = np.ones_like(levels)
+    with np.errstate(divide="ignore", over="ignore"):
+        rate = -np.log1p(-np.exp(-levels[:, :-1]))
+        waits = np.divide(e[:, n:], rate, out=np.full_like(rate, np.inf), where=rate > 0)
+        np.cumsum(np.floor(waits) + 1.0, axis=1, out=times[:, 1:])
+    times[:, 1:] += 1.0
+    return levels, times
+
+
+def _record_chain_rows(config: SimulationConfig, start: int, stop: int, draws: SimulationDraws,
+                       pool: list) -> int:
+    """Replicates start..stop-1 of a constant-theta hazard-family config as
+    exact record chains: each replicate stream gives one standard_exponential
+    call of 2 n_target - 1 values, turned into record values and times by
+    record_chain.  Equal in law to _simulate_rows, truncation included: a
+    replicate whose n_target-th record comes after max_observations is
+    truncated at that cap.  Returns 0, the departures of a constant theta."""
+    theta = float(config.theta_model.params["value"])
+    e = np.empty((stop - start, 2 * config.n_target - 1))
+    for rng, row in zip(_batch_streams(config, start, stop, pool), e):
+        rng.standard_exponential(out=row)
+    levels, times = record_chain(e)
+    # no streaming run gets near 2^62 observations; later times do not fit int64
+    cap = min(config.max_observations, _MAX_TIME)
+    ok = times[:, -1] <= cap  # compared in float64, so an infinite time is truncated
+    out = start + np.flatnonzero(ok)
+    t = times[ok].astype(np.int64)
+    draws.values[out] = theta * levels[ok]
+    draws.thetas[out] = theta
+    draws.times[out] = t
+    draws.s_inv[out] = t / theta
+    draws.observations[out] = t[:, -1]
+    _truncate(draws, start + np.flatnonzero(~ok), cap)
+    return 0
 
 
 def _simulate_rows(config: SimulationConfig, start: int, stop: int, draws: SimulationDraws,
@@ -297,14 +373,11 @@ def _simulate_rows(config: SimulationConfig, start: int, stop: int, draws: Simul
     canonical Gamma/exponential draws); unused tail draws of its final block
     are discarded, which affects nothing downstream.  Live rows go through
     each block in groups of at most _BATCH_ELEMENTS observations (one row
-    when a block is longer).  Row i draws from pool[i], reset to its replicate
-    stream; rows past the pool's end get new generators, which join it.
+    when a block is longer).
     """
     n_target = config.n_target
     cap = config.max_observations
-    rngs = [replicate_stream(config.master_seed, r, pool[i] if i < len(pool) else None)
-            for i, r in enumerate(range(start, stop))]
-    pool[len(pool):] = rngs[len(pool):]
+    rngs = _batch_streams(config, start, stop, pool)
     theta_stream = ThetaStream(config.theta_model, rngs)
     gamma_kind = config.family.kind == families.Kind.GAMMA_TYPE
     shape_p = config.family.shape_p
@@ -364,19 +437,15 @@ def _simulate_rows(config: SimulationConfig, start: int, stop: int, draws: Simul
         offset += b
         block = min(block * 2, _MAX_BLOCK)
         live = live[found[live] < n_target]
-    out = start + live  # rows that hit max_observations first
-    draws.truncated[out] = True
-    draws.observations[out] = offset
-    draws.values[out] = np.nan
-    draws.thetas[out] = np.nan
-    draws.s_inv[out] = np.nan
-    draws.times[out] = 0
+    _truncate(draws, start + live, offset)  # rows that hit max_observations first
     return departures
 
 
 def simulate_records(config: SimulationConfig, threads: int = 1) -> SimulationDraws:
     """All replicates as matrices; rows that hit max_observations before the
-    n_target-th record are flagged truncated and NaN-filled."""
+    n_target-th record are flagged truncated and NaN-filled.  Constant theta
+    with a hazard family runs the exact record chain (_record_chain_rows),
+    everything else streams observations (_simulate_rows)."""
     reps = config.replications
     n = config.n_target
     draws = SimulationDraws(
@@ -386,10 +455,15 @@ def simulate_records(config: SimulationConfig, threads: int = 1) -> SimulationDr
         s_inv=np.full((reps, n), np.nan),
         truncated=np.zeros(reps, dtype=bool),
         observations=np.zeros(reps, dtype=np.int64))
+    rows = _simulate_rows
+    if (config.theta_model.scheme == Scheme.CONSTANT
+            and config.family.kind != families.Kind.GAMMA_TYPE):
+        rows = _record_chain_rows
+        draws.sampler = "record_chain"
 
     def do_chunk(start: int, stop: int) -> int:
         pool = []  # the task's generators, reset for each batch
-        return sum(_simulate_rows(config, s, min(s + _BATCH_ROWS, stop), draws, pool)
+        return sum(rows(config, s, min(s + _BATCH_ROWS, stop), draws, pool)
                    for s in range(start, stop, _BATCH_ROWS))
 
     spans = [(s, min(s + _CHUNK, reps)) for s in range(0, reps, _CHUNK)]
@@ -420,6 +494,14 @@ class SummaryCell:
     replications: int
     truncated: int
 
+    @property
+    def finite(self) -> bool:
+        """Bias, risk and, past one replicate, their standard errors are finite."""
+        values = (self.bias, self.risk)
+        if self.replications > 1:
+            values += (self.se_bias, self.se_risk)
+        return bool(np.isfinite(values).all())
+
 
 @dataclass(frozen=True)
 class SimulationSummary:
@@ -428,7 +510,7 @@ class SimulationSummary:
     cells: tuple[SummaryCell, ...]
     config: SimulationConfig
     truncation_fraction: float
-    counters: dict  # SimulationDraws.counters of the run
+    counters: dict  # SimulationDraws.counters of the run, plus non_finite_cells
 
     def cell(self, estimator: estimators.EstimatorId, n: int) -> SummaryCell:
         for c in self.cells:
@@ -490,7 +572,11 @@ def _evaluate(estimator: estimators.EstimatorId, prev, curr, p):
 
 def bias_risk_table(config: SimulationConfig, estimator_ids=None,
                     threads: int = 1) -> SimulationSummary:
-    """Simulated bias and risk of the chosen estimators for n = 1..n_target."""
+    """Simulated bias and risk of the chosen estimators for n = 1..n_target.
+
+    A cell may be inf or NaN, as when clamped geometric thetas near e^700
+    square past float64; numpy's overflow warnings are silenced and the
+    counters report how many cells are not finite (non_finite_cells)."""
     estimator_ids = tuple(estimator_ids or default_estimators(config.family))
     draws = simulate_records(config, threads=threads)
     ok = draws.ok
@@ -511,18 +597,21 @@ def bias_risk_table(config: SimulationConfig, estimator_ids=None,
         for n in range(1, config.n_target + 1):
             prev = vals[:, n - 2] if n > 1 else np.zeros(n_ok)
             curr = vals[:, n - 1]
-            err = _evaluate(est, prev, curr, p) - ths[:, n - 1]
-            sq = err * err
-            bias = float(err.mean())
-            risk = float(sq.mean())
-            if n_ok > 1:
-                se_bias = float(err.std(ddof=1) / np.sqrt(n_ok))
-                se_risk = float(sq.std(ddof=1) / np.sqrt(n_ok))
-            else:
-                se_bias = float("nan")
-                se_risk = float("nan")
+            with np.errstate(over="ignore", invalid="ignore"):
+                err = _evaluate(est, prev, curr, p) - ths[:, n - 1]
+                sq = err * err
+                bias = float(err.mean())
+                risk = float(sq.mean())
+                if n_ok > 1:
+                    se_bias = float(err.std(ddof=1) / np.sqrt(n_ok))
+                    se_risk = float(sq.std(ddof=1) / np.sqrt(n_ok))
+                else:
+                    se_bias = float("nan")
+                    se_risk = float("nan")
             cells.append(SummaryCell(est, n, bias, risk, se_bias, se_risk, n_ok, truncated))
-    return SimulationSummary(tuple(cells), config, frac, draws.counters())
+    counters = draws.counters()
+    counters["non_finite_cells"] = sum(not c.finite for c in cells)
+    return SimulationSummary(tuple(cells), config, frac, counters)
 
 
 def spacing_survival_check(config: SimulationConfig, y_grid, threads: int = 1) -> float:

@@ -19,9 +19,12 @@ class TestExactChainAgainstStreaming:
 
     def setup_method(self):
         rng = np.random.default_rng(10)
-        self.vals, self.times = asymptotics.iid_record_chain(1.0, 4, 10**4, rng)
+        self.vals, times = montecarlo.record_chain(rng.standard_exponential((10**4, 7)))
+        self.times = times[:, -1]
+        # gamma-type p = 1 is the same iid exponential law, and the engine
+        # streams it (constant-theta hazard families run this chain)
         cfg = montecarlo.SimulationConfig(
-            family=families.proportional_hazard(Member.EXPONENTIAL),
+            family=families.gamma_type(Member.GAMMA, p=1.0),
             theta_model=CONST, n_target=4, replications=10**4, master_seed=55)
         draws = montecarlo.simulate_records(cfg, threads=4)
         ok = draws.ok

@@ -178,29 +178,59 @@ class TestSimulateCommand:
 
 
     def test_manifest_counters_match_the_draws(self, tmp_path):
-        path = self.config(tmp_path, scheme="white_noise", params={})
-        out = tmp_path / "o"
-        assert run("simulate", "--config", str(path), "--threads", "2", "--out", str(out)) == 0
-        counters = json.loads((out / "manifest.json").read_text())["counters"]
-        doc = json.loads(path.read_text())
-        draws = montecarlo.simulate_records(montecarlo.SimulationConfig(
-            family=families.from_json_dict(doc["family"]),
-            theta_model=montecarlo.ParameterSequenceModel.from_json_dict(doc["theta_model"]),
-            n_target=doc["n_target"], replications=doc["replications"],
-            master_seed=doc["master_seed"]))
-        obs = sorted(int(o) for o in draws.observations)  # 2000 replicates
-        assert counters == {
-            "observations_per_replicate": {"p50": obs[999], "p99": obs[1979], "max": obs[-1]},
-            "truncated": int(draws.truncated.sum()),
-            "geometric_exponent_clamped": 0,
-            "white_noise_redraws": 0,
-            "stream_layout": 1,
-        }
-        assert counters["observations_per_replicate"]["max"] > counters["observations_per_replicate"]["p50"]
+        """Counters of a streamed config (white noise) and of a record-chain
+        config (constant theta, hazard family) match their draws."""
+        white_noise = self.config(tmp_path, scheme="white_noise", params={})
+        doc = json.loads(white_noise.read_text())
+        doc["family"] = {"kind": "proportional_hazard", "member": "exponential"}
+        doc["theta_model"] = {"scheme": "constant", "params": {"value": 2.5}}
+        chain = tmp_path / "chain.json"
+        chain.write_text(json.dumps(doc), encoding="utf-8")
+        for path, sampler in ((white_noise, "stream"), (chain, "record_chain")):
+            out = tmp_path / sampler
+            assert run("simulate", "--config", str(path), "--threads", "2", "--out", str(out)) == 0
+            counters = json.loads((out / "manifest.json").read_text())["counters"]
+            doc = json.loads(path.read_text())
+            draws = montecarlo.simulate_records(montecarlo.SimulationConfig(
+                family=families.from_json_dict(doc["family"]),
+                theta_model=montecarlo.ParameterSequenceModel.from_json_dict(doc["theta_model"]),
+                n_target=doc["n_target"], replications=doc["replications"],
+                master_seed=doc["master_seed"]))
+            obs = sorted(int(o) for o in draws.observations)  # 2000 replicates
+            assert counters == {
+                "observations_per_replicate": {"p50": obs[999], "p99": obs[1979], "max": obs[-1]},
+                "truncated": int(draws.truncated.sum()),
+                "geometric_exponent_clamped": 0,
+                "white_noise_redraws": 0,
+                "sampler": sampler,
+                "stream_layout": 1,
+                "non_finite_cells": 0,
+            }
+            assert counters["observations_per_replicate"]["max"] > counters["observations_per_replicate"]["p50"]
 
-    # clamped thetas near e^700 overflow the table's squared errors to inf
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
-    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    def test_non_finite_cells_warn_and_exit_0(self, tmp_path, capsys):
+        """Clamped geometric thetas near e^700 overflow some cells to inf or
+        NaN: the table is kept, one warning names the cells and the
+        departure counters, and numpy's own warnings stay silent."""
+        path = self.config(tmp_path, reps=100, scheme="stochastic_geometric", params={})
+        doc = json.loads(path.read_text())
+        doc.update(n_target=170)
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        out = tmp_path / "o"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run("simulate", "--config", str(path), "--out", str(out)) == 0
+        cells = json.loads((out / "simulate_summary.json").read_text())["cells"]
+        bad = [c for c in cells
+               if not np.isfinite([c["bias"], c["risk"], c["se_bias"], c["se_risk"]]).all()]
+        counters = json.loads((out / "manifest.json").read_text())["counters"]
+        assert counters["non_finite_cells"] == len(bad) > 0
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith(f"warning: {len(bad)} of {len(cells)} table cells are not finite (")
+        assert "umvue_gamma n=" in err[0] and "natural_gamma n=" in err[0]
+        assert f"geometric_exponent_clamped={counters['geometric_exponent_clamped']}" in err[0]
+
     @pytest.mark.parametrize("scheme, params, n_target, key", [
         ("white_noise", {"mean": 0.5, "sd": 1.0}, 4, "white_noise_redraws"),
         # a few rows are still short of 170 records past i ~ 7.3e3
@@ -218,12 +248,12 @@ class TestSimulateCommand:
             out = tmp_path / threads
             assert run("simulate", "--config", str(path), "--threads", threads, "--out", str(out)) == 0
             seen.append(json.loads((out / "manifest.json").read_text())["counters"])
-        draws = montecarlo.simulate_records(montecarlo.SimulationConfig(
+        summary = montecarlo.bias_risk_table(montecarlo.SimulationConfig(
             family=families.from_json_dict(doc["family"]),
             theta_model=montecarlo.ParameterSequenceModel.from_json_dict(doc["theta_model"]),
             n_target=n_target, replications=100, master_seed=doc["master_seed"]))
-        assert seen == [draws.counters()] * 3
-        assert seen[0][key] == getattr(draws, key) > 0
+        assert seen == [summary.counters] * 3
+        assert seen[0][key] > 0
 
 
 class TestCritvalsCommand:
@@ -400,6 +430,7 @@ IMPORT_GUARD = textwrap.dedent("""
         ["critvals", "--n-min", "2", "--n-max", "3", "--reps", "2000"],
         ["demo-rainfall", "--reps", "2000"],
         ["simulate", "--config", str(work / "config.json")],
+        ["simulate", "--config", str(work / "chain.json")],
     ]
     codes = [cli.main(argv + ["--out", str(work / str(i))]) for i, argv in enumerate(runs)]
     print(json.dumps({"codes": codes,
@@ -415,13 +446,17 @@ def test_cli_subcommands_do_not_import_scipy(tmp_path):
     doc = json.loads(res.files("recsel").joinpath("data/configs/table1_scheme1_p05.json").read_text())
     doc["replications"] = 200
     (tmp_path / "config.json").write_text(json.dumps(doc), encoding="utf-8")
+    # constant theta with a hazard family runs the record chain
+    doc["family"] = {"kind": "proportional_hazard", "member": "exponential"}
+    doc["theta_model"] = {"scheme": "constant", "params": {"value": 1.0}}
+    (tmp_path / "chain.json").write_text(json.dumps(doc), encoding="utf-8")
     src = str(Path(recsel.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run([sys.executable, "-c", IMPORT_GUARD, str(tmp_path), RAIN_FAMILY],
                           env=env, capture_output=True, text=True, timeout=600)
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout.strip().splitlines()[-1])
-    assert result["codes"] == [0] * 6
+    assert result["codes"] == [0] * 7
     assert result["scipy"] == []
 
 

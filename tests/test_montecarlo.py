@@ -3,11 +3,13 @@
 import math
 import sys
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy import stats as sps
 
 from recsel import estimators, families, montecarlo
 from recsel.errors import DataError, NumericError, UsageError
@@ -442,7 +444,9 @@ def outcome(simulate, config):
 
 class TestMatchesReference:
     """The batched engine gives the per-replicate loop's draws bit for bit,
-    at one and two threads, over chunk and batch boundaries."""
+    at one and two threads, over chunk and batch boundaries.  Constant-theta
+    hazard-family configs run the record chain, equal in law only
+    (TestRecordChain)."""
 
     def assert_same(self, config):
         expect = outcome(reference_simulate, config)
@@ -458,14 +462,17 @@ class TestMatchesReference:
            reps=st.integers(1, 200), seed=st.integers(0, 2**130),
            cap=st.sampled_from([40, 700, 20000]))
     def test_bit_equal(self, family, model, n_target, reps, seed, cap):
+        assume(model.scheme != Scheme.CONSTANT or family.kind == families.Kind.GAMMA_TYPE)
         config = SimulationConfig(family=family, theta_model=model, n_target=n_target,
                                   replications=reps, master_seed=seed, max_observations=cap)
         self.assert_same(config)
 
     def test_rows_reach_the_largest_block(self):
         # ~11 records in 65,472 iid draws: 14 need the 65,536 block, and the
-        # cap trims the block after it
-        config = SimulationConfig(family=exp_family(), theta_model=ParameterSequenceModel.constant(1.0),
+        # cap trims the block after it.  Gamma-type p = 1 gives the same iid
+        # exponential law as the hazard family, and it streams.
+        config = SimulationConfig(family=families.gamma_type(Member.GAMMA, p=1.0),
+                                  theta_model=ParameterSequenceModel.constant(1.0),
                                   n_target=14, replications=3, master_seed=51,
                                   max_observations=150_000)
         draws = montecarlo.simulate_records(config)
@@ -549,3 +556,100 @@ class TestBatchedThetaStream:
             assert block.shape == (rows.size, count)
             for row, r in zip(block, rows):
                 assert row.tobytes() == single[r].take(count).tobytes()
+
+
+HAZARD_FAMILIES = (exp_family(), families.proportional_reversed_hazard(Member.BETA))
+
+
+def constant_config(family, theta, seed, n_target=4, reps=2000, cap=10**5):
+    return SimulationConfig(family=family, theta_model=ParameterSequenceModel.constant(theta),
+                            n_target=n_target, replications=reps, master_seed=seed,
+                            max_observations=cap)
+
+
+class TestRecordChain:
+    """Constant-theta hazard-family replicates are exact record chains: the
+    streaming reference's record process in law, truncation included."""
+
+    @pytest.mark.parametrize("family", HAZARD_FAMILIES, ids=lambda f: f.kind.value)
+    @pytest.mark.parametrize("theta", [1.0, 2.5])
+    def test_same_law_as_streaming(self, family, theta):
+        chain = montecarlo.simulate_records(constant_config(family, theta, 61))
+        stream = reference_simulate(constant_config(family, theta, 62))
+        assert chain.sampler == "record_chain"
+        for k in range(4):
+            for name in ("values", "times"):
+                a = getattr(chain, name)[chain.ok, k]
+                b = getattr(stream, name)[stream.ok, k]
+                p = sps.ks_2samp(a, b).pvalue
+                assert p > 1e-3, f"{name} k={k + 1}: p={p:.2g}"
+
+    def test_fields_follow_the_record_times(self):
+        draws = montecarlo.simulate_records(constant_config(exp_family(), 2.5, 63))
+        ok = draws.ok
+        # streaming cumulates 1/theta, which rounds differently: not compared
+        assert np.array_equal(draws.s_inv[ok], draws.times[ok] / 2.5)
+        assert np.all(draws.thetas[ok] == 2.5)
+        assert np.array_equal(draws.observations[ok], draws.times[ok, -1])
+        assert np.all(draws.times[ok, 0] == 1) and np.all(np.diff(draws.times[ok]) > 0)
+        assert np.all(np.diff(draws.values[ok]) > 0)
+
+    def test_truncated_fraction_matches_streaming(self):
+        reps = 4000
+        chain = montecarlo.simulate_records(constant_config(exp_family(), 1.0, 64, reps=reps, cap=40))
+        stream = reference_simulate(constant_config(exp_family(), 1.0, 65, reps=reps, cap=40))
+        a, b = chain.truncated.mean(), stream.truncated.mean()
+        f = (a + b) / 2
+        assert 0 < f < 1
+        assert abs(a - b) < 4 * math.sqrt(2 * f * (1 - f) / reps)
+        cut = chain.truncated
+        assert np.all(chain.observations[cut] == 40) and np.all(chain.times[cut] == 0)
+        assert np.all(np.isnan(chain.values[cut])) and np.all(np.isnan(chain.s_inv[cut]))
+        assert np.all(chain.observations[~cut] <= 40)
+
+    @pytest.mark.parametrize("n_target", [170, 800])  # 800: exp(-level) underflows
+    def test_extreme_levels_are_truncated(self, n_target):
+        config = constant_config(exp_family(), 1.0, 66, n_target=n_target, reps=200, cap=2**62)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            draws = montecarlo.simulate_records(config)
+        assert draws.truncated.all()
+        assert np.all(draws.times == 0) and np.all(draws.observations == 2**62)
+        assert np.all(np.isnan(draws.values))
+
+    def test_zero_draw_against_zero_probability(self):
+        # level 800: the success probability underflows to 0, and a wait
+        # draw of exactly 0 must still give an infinite wait, not NaN
+        e = np.array([[800.0, 0.0, 0.0], [800.0, 0.0, 1.0], [0.0, 1.0, 0.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            levels, times = montecarlo.record_chain(e)
+        assert levels.tolist() == [[800.0, 800.0], [800.0, 800.0], [0.0, 1.0]]
+        assert times.tolist() == [[1.0, math.inf], [1.0, math.inf], [1.0, 2.0]]
+
+    def test_single_record_is_the_first_observation(self):
+        # one record needs no wait: the chain's single draw is the first
+        # value of the replicate stream, as in the streaming reference
+        config = constant_config(exp_family(), 2.5, 67, n_target=1, reps=150)
+        assert outcome(montecarlo.simulate_records, config) == outcome(reference_simulate, config)
+
+    def test_byte_identical_across_threads(self):
+        config = constant_config(families.proportional_reversed_hazard(Member.BETA), 1.0, 68,
+                                 n_target=5, reps=500)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(montecarlo, "_CHUNK", 96)
+            got = [outcome(lambda c: montecarlo.simulate_records(c, threads=t), config)
+                   for t in (1, 2, 8)]
+        assert got[0] == got[1] == got[2] == outcome(montecarlo.simulate_records, config)
+
+    def test_one_stream_per_replicate(self, monkeypatch):
+        seen = []
+
+        def counting(master_seed, r, reuse=None):
+            seen.append(r)
+            return replicate_stream(master_seed, r, reuse)
+
+        monkeypatch.setattr(montecarlo, "replicate_stream", counting)
+        monkeypatch.setattr(montecarlo, "_CHUNK", 96)
+        montecarlo.simulate_records(constant_config(exp_family(), 1.0, 69, reps=300), threads=2)
+        assert sorted(seen) == list(range(300))
