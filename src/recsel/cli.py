@@ -410,6 +410,8 @@ def cmd_demo_rainfall(args) -> int:
     seq = _load_sequence(in_path)
     rec = records.extract_records(seq, records.Direction.UPPER)
     canon = records.canonical_records(seq, family)
+    # first, so that a bad --alpha exits before any file is written
+    report = _run_test(seq, family, args.alpha, args.table, args.seed, args.reps, args.threads)
 
     rows = [[i + 1, int(t), float(v)] for i, (t, v) in enumerate(zip(rec.times, rec.values))]
     out_records = outdir / "rainfall_records.csv"
@@ -428,7 +430,6 @@ def cmd_demo_rainfall(args) -> int:
     _write_csv(out_paths, ["hypothesis", "n", "estimator_id", "estimate",
                            "risk_estimate", "band_lo", "band_hi"], path_rows)
 
-    report = _run_test(seq, family, args.alpha, args.table, args.seed, args.reps, args.threads)
     out_json = outdir / "rainfall_test.json"
     with open(out_json, "w", encoding="utf-8") as fh:
         json.dump(report, fh, indent=2, sort_keys=True)

@@ -25,9 +25,8 @@ from .streams import replicate_stream
 
 _FIRST_BLOCK = 64
 _MAX_BLOCK = 65536
-_CHUNK = 2048  # replicates per worker task, independent of worker count
 _BATCH_ELEMENTS = 4096  # observations per (rows x block) matrix, at least one row
-_BATCH_ROWS = _BATCH_ELEMENTS // _FIRST_BLOCK  # replicate streams held at once
+_BATCH_ROWS = _BATCH_ELEMENTS // _FIRST_BLOCK  # replicates per batch
 STREAM_LAYOUT = 1  # version of the replicate-to-stream mapping
 _MAX_TIME = 2**62  # latest record time a record chain stores in int64
 MAX_TRUNCATION_FRACTION = 0.01
@@ -106,17 +105,20 @@ def _affine_scan(mult: np.ndarray, add: np.ndarray) -> tuple[np.ndarray, np.ndar
     associative, so a logarithmic-depth pass replaces the sequential loop;
     each row of a 2-d input is scanned with the same association as alone.
     """
-    A = mult.astype(float, copy=True)
-    C = add.astype(float, copy=True)
+    A, C = np.array(mult, dtype=float, order="C"), np.array(add, dtype=float, order="C")
+    A2, C2 = np.empty_like(A), np.empty_like(C)  # each step writes these, then they swap
+    # flat views: a shift by step crosses rows only in the first step
+    # columns of each row, which keep their values and are copied instead
+    a, c, a2, c2 = (x.reshape(-1) for x in (A, C, A2, C2))
     step = 1
-    n = A.shape[-1]
-    while step < n:
-        A_hi = A[..., step:]
-        newA = A.copy()
-        newC = C.copy()
-        newA[..., step:] = A_hi * A[..., :-step]
-        newC[..., step:] = C[..., step:] + A_hi * C[..., :-step]
-        A, C = newA, newC
+    while step < A.shape[-1]:
+        hi, c_hi = a[step:], c2[step:]
+        np.multiply(hi, c[:-step], c_hi)
+        np.add(c_hi, c[step:], c_hi)
+        np.multiply(hi, a[:-step], a2[step:])
+        A2[..., :step] = A[..., :step]
+        C2[..., :step] = C[..., :step]
+        A, C, A2, C2, a, c, a2, c2 = A2, C2, A, C, a2, c2, a, c
         step *= 2
     return A, C
 
@@ -163,8 +165,9 @@ class ThetaStream:
             for rng, z_row, eps_row in zip(rngs, z, eps):
                 rng.random(out=z_row)
                 rng.standard_exponential(out=eps_row)
-            A, C = _affine_scan(z, eps)
-            out = A * self._ar_prev[rows, None] + C
+            out, C = _affine_scan(z, eps)
+            out *= self._ar_prev[rows, None]
+            out += C
             self._ar_prev[rows] = out[:, -1]
         elif scheme == Scheme.STOCHASTIC_GEOMETRIC:
             idx = (i0[:, None] + np.arange(1, count + 1)).astype(float)
@@ -335,13 +338,13 @@ def record_chain(e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _record_chain_rows(config: SimulationConfig, start: int, stop: int, draws: SimulationDraws,
-                       pool: list) -> int:
+                       pool: list) -> None:
     """Replicates start..stop-1 of a constant-theta hazard-family config as
     exact record chains: each replicate stream gives one standard_exponential
     call of 2 n_target - 1 values, turned into record values and times by
     record_chain.  Equal in law to _simulate_rows, truncation included: a
     replicate whose n_target-th record comes after max_observations is
-    truncated at that cap.  Returns 0, the departures of a constant theta."""
+    truncated at that cap.  A constant theta never departs from the model."""
     theta = float(config.theta_model.params["value"])
     e = np.empty((stop - start, 2 * config.n_target - 1))
     for rng, row in zip(_batch_streams(config, start, stop, pool), e):
@@ -358,14 +361,16 @@ def _record_chain_rows(config: SimulationConfig, start: int, stop: int, draws: S
     draws.s_inv[out] = t / theta
     draws.observations[out] = t[:, -1]
     _truncate(draws, start + np.flatnonzero(~ok), cap)
-    return 0
 
 
 def _simulate_rows(config: SimulationConfig, start: int, stop: int, draws: SimulationDraws,
-                   pool: list) -> int:
-    """Replicates start..stop-1 advanced together through the block schedule
-    until each reaches the n_target-th canonical record or max_observations;
-    returns how many theta values they used left the model (ThetaStream
+                   pool: list):
+    """Generator that advances replicates start..stop-1 together through the
+    block schedule until each reaches the n_target-th canonical record or
+    max_observations.  It yields None before the first block of at least
+    _BATCH_ELEMENTS observations, whose draw calls and ufuncs are long and
+    release the GIL, so that the caller may resume it on a worker.  Last it
+    yields how many theta values the rows used left the model (ThetaStream
     departures up to each row's last observation, counted block by block).
 
     Every live row shares the offset and block size.  A row draws from its
@@ -389,6 +394,7 @@ def _simulate_rows(config: SimulationConfig, start: int, stop: int, draws: Simul
     departures = 0
     offset = 0
     block = _FIRST_BLOCK
+    short = True  # no block of _BATCH_ELEMENTS observations yet
     while live.size and offset < cap:
         b = min(block, cap - offset)
         left = theta_stream.remaining()
@@ -398,6 +404,9 @@ def _simulate_rows(config: SimulationConfig, start: int, stop: int, draws: Simul
                     f"user-supplied theta list exhausted after {offset} observations "
                     f"before record {n_target}")
             b = min(b, left)
+        if short and b >= _BATCH_ELEMENTS:
+            short = False
+            yield
         group = max(1, _BATCH_ELEMENTS // b)
         for g in range(0, live.size, group):
             rows = live[g:g + group]
@@ -438,14 +447,18 @@ def _simulate_rows(config: SimulationConfig, start: int, stop: int, draws: Simul
         block = min(block * 2, _MAX_BLOCK)
         live = live[found[live] < n_target]
     _truncate(draws, start + live, offset)  # rows that hit max_observations first
-    return departures
+    yield departures
 
 
 def simulate_records(config: SimulationConfig, threads: int = 1) -> SimulationDraws:
     """All replicates as matrices; rows that hit max_observations before the
     n_target-th record are flagged truncated and NaN-filled.  Constant theta
     with a hazard family runs the exact record chain (_record_chain_rows),
-    everything else streams observations (_simulate_rows)."""
+    everything else streams observations (_simulate_rows), in batches of
+    _BATCH_ROWS replicates.  The calling thread runs the short blocks of each
+    batch and hands the rest of the batch to a worker while fewer than
+    `threads` are out, else finishes it itself.  Finished batches lend their
+    generators to later ones."""
     reps = config.replications
     n = config.n_target
     draws = SimulationDraws(
@@ -455,23 +468,35 @@ def simulate_records(config: SimulationConfig, threads: int = 1) -> SimulationDr
         s_inv=np.full((reps, n), np.nan),
         truncated=np.zeros(reps, dtype=bool),
         observations=np.zeros(reps, dtype=np.int64))
-    rows = _simulate_rows
+    spans = [(s, min(s + _BATCH_ROWS, reps)) for s in range(0, reps, _BATCH_ROWS)]
     if (config.theta_model.scheme == Scheme.CONSTANT
             and config.family.kind != families.Kind.GAMMA_TYPE):
-        rows = _record_chain_rows
         draws.sampler = "record_chain"
+        pool = []  # the generators, reset for each batch
+        for start, stop in spans:
+            _record_chain_rows(config, start, stop, draws, pool)
+        return draws
 
-    def do_chunk(start: int, stop: int) -> int:
-        pool = []  # the task's generators, reset for each batch
-        return sum(rows(config, s, min(s + _BATCH_ROWS, stop), draws, pool)
-                   for s in range(start, stop, _BATCH_ROWS))
-
-    spans = [(s, min(s + _CHUNK, reps)) for s in range(0, reps, _CHUNK)]
-    if threads and threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as executor:
-            departures = sum(executor.map(lambda span: do_chunk(*span), spans))
-    else:
-        departures = sum(do_chunk(*span) for span in spans)
+    workers = threads if threads and threads > 1 else 0
+    free = []  # generator lists of finished batches, reset for later ones
+    handed = {}  # future of a batch resumed on a worker -> its generators
+    departures = 0
+    with ThreadPoolExecutor(max_workers=max(workers, 1)) as executor:
+        for start, stop in spans:
+            for future in [f for f in handed if f.done()]:
+                departures += future.result()
+                free.append(handed.pop(future))
+            pool = free.pop() if free else []
+            batch = _simulate_rows(config, start, stop, draws, pool)
+            done = next(batch)
+            if done is None:  # suspended before its first long block
+                if len(handed) < workers:
+                    handed[executor.submit(next, batch)] = pool
+                    continue
+                done = next(batch)
+            departures += done
+            free.append(pool)
+        departures += sum(future.result() for future in handed)
     if config.theta_model.scheme == Scheme.STOCHASTIC_GEOMETRIC:
         draws.geometric_exponent_clamped = departures
     elif config.theta_model.scheme == Scheme.WHITE_NOISE:

@@ -42,8 +42,10 @@ def test_statistic(theta_hats) -> float:
 
 def _null_T_block(n: int, count: int, rng: np.random.Generator) -> np.ndarray:
     z = rng.standard_exponential((count, n))
-    ratios = z[:, 1:] / z[:, :-1]
-    return np.mean((ratios - 1.0) ** 2, axis=1)
+    jumps = np.divide(z[:, 1:], z[:, :-1])  # the one (count, n - 1) buffer, squared in place
+    jumps -= 1.0
+    np.square(jumps, out=jumps)
+    return np.mean(jumps, axis=1)
 
 
 def simulate_null_T(n: int, rng: np.random.Generator) -> float:
@@ -57,9 +59,17 @@ def simulate_null_T(n: int, rng: np.random.Generator) -> float:
 def upper_quantile(draws: np.ndarray, alpha: float) -> float:
     """Type-1 (ceiling order statistic) empirical upper-alpha quantile;
     interpolation is avoided because the right tail is heavy."""
+    _check_alpha(alpha)
+    return _sorted_quantile(np.sort(np.asarray(draws, dtype=float)), alpha)
+
+
+def _check_alpha(alpha: float) -> None:
     if not 0.0 < alpha < 1.0:
         raise UsageError("alpha must lie in (0, 1)")
-    draws = np.sort(np.asarray(draws, dtype=float))
+
+
+def _sorted_quantile(draws: np.ndarray, alpha: float) -> float:
+    """upper_quantile of draws already sorted ascending."""
     m = draws.size
     # tolerance guards m*(1-alpha) landing epsilon above an integer
     k = int(math.ceil(m * (1.0 - alpha) - 1e-9))
@@ -187,6 +197,8 @@ def critical_values(n_values, alphas, replications: int, master_seed: int,
         raise UsageError("duplicate n rows")
     if replications < 1000:
         raise UsageError("need at least 1000 replications for quantile estimation")
+    for a in alphas:
+        _check_alpha(a)
 
     quantiles = np.empty((len(n_values), len(alphas)))
 
@@ -199,8 +211,8 @@ def critical_values(n_values, alphas, replications: int, master_seed: int,
             count = min(1 << 17, replications - pos)
             draws[pos:pos + count] = _null_T_block(n, count, rng)
             pos += count
-        for j, a in enumerate(alphas):
-            quantiles[i, j] = upper_quantile(draws, a)
+        draws.sort()
+        quantiles[i] = [_sorted_quantile(draws, a) for a in alphas]
 
     if threads and threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:

@@ -58,11 +58,14 @@ class TestNormalizedSample:
         assert d < 0.05
 
     def test_joint_grid_deviation_shrinks(self):
+        # over 20 seeds at 10**5 replicates the deviation averages 0.085,
+        # 0.015 and 0.002 (sd 0.001 each): each drop is over 9 standard
+        # errors of the difference.  From n ~ 10 on it sits at the noise.
         grid = [(y, z) for y in (-1.0, 0.0, 1.0, 2.0) for z in (-1.0, 0.0, 1.0, 2.0)]
         devs = []
-        for n in (5, 15, 30):
+        for n in (3, 5, 30):
             rng = np.random.default_rng(12)
-            samples = asymptotics.normalized_sample(CONST, n, 2 * 10**4, rng)
+            samples = asymptotics.normalized_sample(CONST, n, 10**5, rng)
             u_n, u_p, _ = asymptotics.sample_arrays(samples)
             dev = max(
                 abs(float(np.mean((u_n <= y) & (u_p <= z))) - asymptotics.gumbel_joint_cdf(y, z))

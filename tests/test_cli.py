@@ -281,6 +281,35 @@ class TestCritvalsCommand:
         assert blobs[0] == blobs[1] == blobs[2]
 
 
+class TestAlphaOutsideUnitInterval:
+    """An alpha outside (0, 1) exits 2 before any null draw is simulated,
+    and nothing is written."""
+
+    @pytest.fixture(autouse=True)
+    def no_simulation(self, monkeypatch):
+        def fail(*args):
+            raise AssertionError("null draws simulated")
+
+        monkeypatch.setattr(stationarity, "_null_T_block", fail)
+
+    @pytest.mark.parametrize("alpha", ["1.5", "0", "nan"])
+    def test_critvals(self, tmp_path, capsys, alpha):
+        out = tmp_path / "o"
+        assert run("critvals", "--n-min", "2", "--n-max", "3", "--alphas", "0.05", alpha,
+                   "--reps", "20000", "--out", str(out)) == 2
+        assert "alpha must lie in (0, 1)" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("command", ["test", "demo-rainfall"])
+    @pytest.mark.parametrize("alpha", ["0", "1"])
+    def test_test_and_demo(self, tmp_path, capsys, command, alpha):
+        out = tmp_path / "o"
+        argv = ["--input", "lacc-rainfall-records", "--family", RAIN_FAMILY] * (command == "test")
+        assert run(command, *argv, "--alpha", alpha, "--reps", "20000", "--out", str(out)) == 2
+        assert "alpha must lie in (0, 1)" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
+
 class TestTestCommand:
     def test_rainfall_with_supplied_table(self, tmp_path):
         table = tmp_path / "table.csv"

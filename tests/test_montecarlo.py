@@ -2,6 +2,7 @@
 
 import math
 import sys
+import threading
 import tracemalloc
 import warnings
 
@@ -442,19 +443,29 @@ def outcome(simulate, config):
             + tuple(getattr(draws, c) for c in COUNTERS))
 
 
+def forced_handoffs(mp, rows=24):
+    """Batches of `rows` replicates that suspend before their 128-observation
+    block, so nearly every batch reaches a worker; group sizes change too."""
+    mp.setattr(montecarlo, "_BATCH_ROWS", rows)
+    mp.setattr(montecarlo, "_BATCH_ELEMENTS", 128)
+
+
 class TestMatchesReference:
     """The batched engine gives the per-replicate loop's draws bit for bit,
-    at one and two threads, over chunk and batch boundaries.  Constant-theta
-    hazard-family configs run the record chain, equal in law only
-    (TestRecordChain)."""
+    at one, two and eight threads, over batch boundaries and hand-offs to
+    workers.  Constant-theta hazard-family configs run the record chain,
+    equal in law only (TestRecordChain)."""
 
     def assert_same(self, config):
         expect = outcome(reference_simulate, config)
+        for threads in (1, 2):
+            got = outcome(lambda c: montecarlo.simulate_records(c, threads=threads), config)
+            assert got == expect, f"threads={threads}"
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(montecarlo, "_CHUNK", 96)  # several chunks, batches of 64 and 32
-            for threads in (1, 2):
+            forced_handoffs(mp)
+            for threads in (1, 2, 8):
                 got = outcome(lambda c: montecarlo.simulate_records(c, threads=threads), config)
-                assert got == expect, f"threads={threads}"
+                assert got == expect, f"threads={threads}, forced hand-offs"
         return expect
 
     @settings(max_examples=150, deadline=None)
@@ -481,23 +492,72 @@ class TestMatchesReference:
 
     def test_many_threads_with_frequent_switches(self):
         """Workers write disjoint rows of the shared draws: eight threads on
-        short chunks, switching every 10 us, lose no row.  Chunks of 96 reuse
-        their generators for a second batch and share key blocks."""
+        handed-off batches, switching every 10 us, lose no row.  Batches of
+        16 and 48 rows, the last one shorter, reuse the generators of
+        batches that workers finished."""
         config = SimulationConfig(family=families.gamma_type(Member.GAMMA, p=0.5),
                                   theta_model=ParameterSequenceModel.white_noise(),
                                   n_target=3, replications=600, master_seed=53,
                                   max_observations=5000)
         expect = outcome(reference_simulate, config)
         interval = sys.getswitchinterval()
-        for chunk in (32, 96):
+        take = montecarlo.ThetaStream.take
+        for rows in (16, 48):
+            takers = set()
+
+            def recording(self, count, rows=None):
+                takers.add(threading.get_ident())
+                return take(self, count, rows)
+
             try:
                 sys.setswitchinterval(1e-5)
                 with pytest.MonkeyPatch.context() as mp:
-                    mp.setattr(montecarlo, "_CHUNK", chunk)
+                    forced_handoffs(mp, rows)
+                    mp.setattr(montecarlo.ThetaStream, "take", recording)
                     got = outcome(lambda c: montecarlo.simulate_records(c, threads=8), config)
             finally:
                 sys.setswitchinterval(interval)
-            assert got == expect, f"chunk={chunk}"
+            assert got == expect, f"rows={rows}"
+            assert takers - {threading.get_ident()}, "no batch ran on a worker"
+
+    def test_short_replicates_start_no_thread(self, monkeypatch):
+        # geometric theta ends every replicate within ~100 observations, far
+        # short of a 4096-observation block: no batch is handed off
+        started = []
+        start = threading.Thread.start
+
+        def recording(thread):
+            started.append(thread)
+            start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", recording)
+        config = SimulationConfig(family=families.gamma_type(Member.GAMMA, p=0.5),
+                                  theta_model=ParameterSequenceModel.stochastic_geometric(),
+                                  n_target=4, replications=2000, master_seed=56)
+        draws = montecarlo.simulate_records(config, threads=2)
+        assert draws.observations.max() <= 4032  # the blocks before the first of 4096
+        assert started == []
+
+    def test_handed_off_batches_recycle_generators(self, monkeypatch):
+        """Finished batches give their generators to later ones: streams
+        built anew stay within the batches in flight, however many batches
+        run."""
+        built = []
+
+        def counting(master_seed, r, reuse=None):
+            if reuse is None:
+                built.append(r)
+            return replicate_stream(master_seed, r, reuse)
+
+        monkeypatch.setattr(montecarlo, "replicate_stream", counting)
+        forced_handoffs(monkeypatch, rows=8)
+        config = SimulationConfig(family=exp_family(),
+                                  theta_model=ParameterSequenceModel.white_noise(),
+                                  n_target=3, replications=800, master_seed=57)
+        draws = montecarlo.simulate_records(config, threads=2)
+        # at most two batches on workers and one on the calling thread
+        assert len(built) <= 8 * 3
+        assert outcome(lambda c: draws, config) == outcome(reference_simulate, config)
 
     def test_clamped_exponents_are_counted(self):
         # rows that are still short of 200 records past i ~ 7.3e3 use thetas
@@ -634,10 +694,12 @@ class TestRecordChain:
         assert outcome(montecarlo.simulate_records, config) == outcome(reference_simulate, config)
 
     def test_byte_identical_across_threads(self):
+        # batches of 96 (the last of 20), with hand-offs forced, give the
+        # bytes of the default batches: the chain never leaves the caller
         config = constant_config(families.proportional_reversed_hazard(Member.BETA), 1.0, 68,
                                  n_target=5, reps=500)
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(montecarlo, "_CHUNK", 96)
+            forced_handoffs(mp, rows=96)
             got = [outcome(lambda c: montecarlo.simulate_records(c, threads=t), config)
                    for t in (1, 2, 8)]
         assert got[0] == got[1] == got[2] == outcome(montecarlo.simulate_records, config)
@@ -650,6 +712,6 @@ class TestRecordChain:
             return replicate_stream(master_seed, r, reuse)
 
         monkeypatch.setattr(montecarlo, "replicate_stream", counting)
-        monkeypatch.setattr(montecarlo, "_CHUNK", 96)
+        monkeypatch.setattr(montecarlo, "_BATCH_ROWS", 96)
         montecarlo.simulate_records(constant_config(exp_family(), 1.0, 69, reps=300), threads=2)
         assert sorted(seen) == list(range(300))
