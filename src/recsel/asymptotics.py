@@ -22,16 +22,6 @@ from .errors import UsageError
 
 
 @dataclass(frozen=True)
-class NormalizedRecordSample:
-    """One replicate's centered record pair and normalized record-time."""
-
-    u_star_n: float
-    u_star_prev: float
-    t_star: float
-    n: int
-
-
-@dataclass(frozen=True)
 class RiskRatePoint:
     n: int
     risk: float
@@ -62,15 +52,18 @@ def _record_chain(n: int, reps: int, rng: np.random.Generator) -> tuple[np.ndarr
 
 
 def _simulate(theta_model: montecarlo.ParameterSequenceModel, n: int, reps: int,
-              rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(values, prev values, log S(T_n)) for the exponential-base record
-    process under the given theta scheme."""
-    if n < 2:
-        raise UsageError("need n >= 2 records for the joint diagnostics")
+              rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(values, prev values, log S(T_n), selected theta) of the n-th record
+    for the exponential-base record process under the given theta scheme;
+    prev values are 0 at n = 1."""
+    if n < 1:
+        raise UsageError("need n >= 1")
     if theta_model.scheme == montecarlo.Scheme.CONSTANT:
         theta = float(theta_model.params["value"])
         levels, times = _record_chain(n, reps, rng)
-        return theta * levels[:, n - 1], theta * levels[:, n - 2], np.log(times[:, n - 1] / theta)
+        prev = theta * levels[:, n - 2] if n > 1 else 0.0
+        return (theta * levels[:, n - 1], prev, np.log(times[:, n - 1] / theta),
+                np.full(reps, theta))
     # literal streaming fallback: only sensible for schemes whose records
     # arrive quickly (improving populations) or for moderate n
     seed = int(rng.integers(0, 2**63 - 1))
@@ -85,28 +78,20 @@ def _simulate(theta_model: montecarlo.ParameterSequenceModel, n: int, reps: int,
             raise UsageError(
                 f"{frac:.1%} of replicates truncated; this scheme/n needs the "
                 f"constant-theta exact sampler or a larger observation cap")
-    return (draws.values[ok, n - 1], draws.values[ok, n - 2],
-            np.log(draws.s_inv[ok, n - 1]))
+    prev = draws.values[ok, n - 2] if n > 1 else 0.0
+    return (draws.values[ok, n - 1], prev, np.log(draws.s_inv[ok, n - 1]),
+            draws.thetas[ok, n - 1])
 
 
 def normalized_sample(theta_model: montecarlo.ParameterSequenceModel, n: int, reps: int,
-                      rng: np.random.Generator) -> list[NormalizedRecordSample]:
-    """Centered record pairs U*_n = U_n - log S(T_n) (exponential-base
-    norming) together with the normalized record time
-    T* = (log S(T_n) - n)/sqrt(n)."""
-    curr, prev, log_s = _simulate(theta_model, n, reps, rng)
-    t_star = (log_s - n) / math.sqrt(n)
-    return [
-        NormalizedRecordSample(float(c - ls), float(p - ls), float(t), n)
-        for c, p, ls, t in zip(curr, prev, log_s, t_star)
-    ]
-
-
-def sample_arrays(samples: list[NormalizedRecordSample]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    u_n = np.array([s.u_star_n for s in samples])
-    u_p = np.array([s.u_star_prev for s in samples])
-    t = np.array([s.t_star for s in samples])
-    return u_n, u_p, t
+                      rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Arrays of the centered record pairs U*_n = U_n - log S(T_n) and
+    U*_{n-1} = U_{n-1} - log S(T_n) (exponential-base norming) and of the
+    normalized record time T* = (log S(T_n) - n)/sqrt(n)."""
+    if n < 2:
+        raise UsageError("need n >= 2 records for the joint diagnostics")
+    curr, prev, log_s, _ = _simulate(theta_model, n, reps, rng)
+    return curr - log_s, prev - log_s, (log_s - n) / math.sqrt(n)
 
 
 def gumbel_cdf(x) -> np.ndarray:
@@ -129,7 +114,7 @@ def frechet_correlation(theta_model: montecarlo.ParameterSequenceModel, n: int, 
     scale; tends to 1 (perfect positive dependence) as n grows."""
     if n < 2:
         raise UsageError("the record pair needs n >= 2")
-    curr, prev, _ = _simulate(theta_model, n, reps, rng)
+    curr, prev, _, _ = _simulate(theta_model, n, reps, rng)
     return float(np.corrcoef(prev, curr)[0, 1])
 
 
@@ -139,33 +124,8 @@ def risk_rate(theta_model: montecarlo.ParameterSequenceModel, n_list, reps: int,
     decay diagnostic."""
     out = []
     for n in n_list:
-        n = int(n)
-        if n < 1:
-            raise UsageError("need n >= 1")
-        if theta_model.scheme == montecarlo.Scheme.CONSTANT:
-            theta = float(theta_model.params["value"])
-            levels, _ = _record_chain(n, reps, rng)
-            prev = levels[:, n - 2] if n > 1 else 0.0
-            err = theta * (levels[:, n - 1] - prev) - theta
-        else:
-            seed = int(rng.integers(0, 2**63 - 1))
-            config = montecarlo.SimulationConfig(
-                family=_exp_base_family(), theta_model=theta_model, n_target=n,
-                replications=reps, master_seed=seed)
-            draws = montecarlo.simulate_records(config)
-            ok = draws.ok
-            prev = draws.values[ok, n - 2] if n > 1 else 0.0
-            err = (draws.values[ok, n - 1] - prev) - draws.thetas[ok, n - 1]
-        sq = err * err
-        out.append(RiskRatePoint(n, float(sq.mean()),
+        curr, prev, _, theta = _simulate(theta_model, int(n), reps, rng)
+        sq = (curr - prev - theta) ** 2
+        out.append(RiskRatePoint(int(n), float(sq.mean()),
                                  float(sq.std(ddof=1) / np.sqrt(sq.size))))
     return out
-
-
-def diagnostics_csv_rows(points: list[RiskRatePoint]) -> list[list]:
-    """Tidy (n, statistic, value, se) rows for line plots."""
-    rows = []
-    for p in points:
-        rows.append([p.n, "risk", p.risk, p.se])
-        rows.append([p.n, "risk_over_n", p.rate, p.se / p.n])
-    return rows

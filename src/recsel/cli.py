@@ -22,18 +22,14 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, datasets, estimators, families, montecarlo, records, stationarity
+from . import __version__, datasets, estimators, families, montecarlo, output, records, stationarity
 from .errors import DataError, NumericError, RecselError, UsageError
+from .output import fmt
 
 DEFAULT_SEED = 20260810
 DEFAULT_TABLE_REPS = 100000
 DEFAULT_ALPHAS = (0.01, 0.025, 0.05, 0.1)
-
-
-def _fmt(v) -> str:
-    if isinstance(v, float):
-        return format(v, ".6g")
-    return str(v)
+ESTIMATE_HEADER = ["n", "estimator_id", "estimate", "risk_estimate", "band_lo", "band_hi"]
 
 
 def _seed(text: str) -> int:
@@ -152,14 +148,6 @@ def _load_table(path: str) -> stationarity.CriticalValueTable:
         raise DataError(f"table file {path}: {exc}") from None
 
 
-def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(v) if isinstance(v, float) else v for v in row])
-
-
 def _write_manifest(outdir: Path, subcommand: str, config: dict,
                     master_seed: int | None, inputs: list[Path], outputs: list[Path],
                     counters: dict | None = None) -> Path:
@@ -177,9 +165,7 @@ def _write_manifest(outdir: Path, subcommand: str, config: dict,
     if counters is not None:
         doc["counters"] = counters  # seed-determined, so reruns stay identical
     path = outdir / "manifest.json"
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    output.write_json(path, doc)
     return path
 
 
@@ -191,8 +177,13 @@ def _outdir(args) -> Path:
 
 def _resolve_input(path: str) -> str:
     if path == datasets.RAINFALL_DATASET:
-        return datasets.dataset_path(path)
+        return datasets.rainfall_records_path()
     return path
+
+
+def _write_records(path: Path, rec: records.RecordSet) -> None:
+    rows = [[i + 1, int(t), float(v)] for i, (t, v) in enumerate(zip(rec.times, rec.values))]
+    output.write_csv(path, ["index", "time", "value"], rows)
 
 
 # ---------------------------------------------------------------------------
@@ -211,9 +202,8 @@ def cmd_records(args) -> int:
     else:
         fam_path = None
         rec = records.extract_records(seq, args.direction)
-    rows = [[i + 1, int(t), float(v)] for i, (t, v) in enumerate(zip(rec.times, rec.values))]
     out_csv = outdir / "records.csv"
-    _write_csv(out_csv, ["index", "time", "value"], rows)
+    _write_records(out_csv, rec)
     manifest = _write_manifest(outdir, "records",
                                {"input": str(in_path), "direction": str(args.direction),
                                 "family": args.family, "column": args.column},
@@ -234,21 +224,18 @@ def cmd_estimate(args) -> int:
     if not stationary and len(canon) < 2:
         raise UsageError("fewer than 2 records: the nonstationary path needs at least two")
     reports = estimators.estimate_path(canon, family, stationary, args.band_factor)
-    rows = [r.to_csv_row() for r in reports]
     out_csv = outdir / "estimates.csv"
-    _write_csv(out_csv, ["n", "estimator_id", "estimate", "risk_estimate", "band_lo", "band_hi"], rows)
+    output.write_csv(out_csv, ESTIMATE_HEADER, [r.to_csv_row() for r in reports])
     out_json = outdir / "estimates.json"
-    with open(out_json, "w", encoding="utf-8") as fh:
-        json.dump([r.to_json_dict() for r in reports], fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    output.write_json(out_json, [r.to_json_dict() for r in reports])
     manifest = _write_manifest(outdir, "estimate",
                                {"input": str(in_path), "family": families.to_json_dict(family),
                                 "model": args.model, "band_factor": args.band_factor},
                                None, [Path(in_path)] + ([fam_path] if fam_path else []),
                                [out_csv, out_json])
     for r in reports:
-        print(f"n={r.n} {r.estimator_id.value} estimate={_fmt(r.estimate)} "
-              f"risk={_fmt(r.risk_estimate)} band=({_fmt(r.band[0])}, {_fmt(r.band[1])})")
+        print(f"n={r.n} {r.estimator_id.value} estimate={fmt(r.estimate)} "
+              f"risk={fmt(r.risk_estimate)} band=({fmt(r.band[0])}, {fmt(r.band[1])})")
     print(f"manifest: {manifest}")
     return 0
 
@@ -265,19 +252,25 @@ def _load_simulation_config(path: str, seed_override: int | None) -> tuple[monte
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise UsageError(f"config JSON does not parse: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise UsageError("config must be a JSON object")
     try:
         family = families.from_json_dict(doc["family"])
         theta_model = montecarlo.ParameterSequenceModel.from_json_dict(doc["theta_model"])
         n_target = int(doc["n_target"])
         replications = int(doc["replications"])
+        master_seed = seed_override if seed_override is not None else doc.get("master_seed", DEFAULT_SEED)
+        config = montecarlo.SimulationConfig(
+            family=family, theta_model=theta_model, n_target=n_target,
+            replications=replications, master_seed=master_seed,
+            max_observations=int(doc.get("max_observations", 10**7)))
+        n_values = [int(n) for n in doc.get("n_values", range(2, n_target + 1))] or [n_target]
     except KeyError as exc:
         raise UsageError(f"config is missing field {exc}") from exc
-    master_seed = seed_override if seed_override is not None else doc.get("master_seed", DEFAULT_SEED)
-    config = montecarlo.SimulationConfig(
-        family=family, theta_model=theta_model, n_target=n_target,
-        replications=replications, master_seed=master_seed,
-        max_observations=int(doc.get("max_observations", 10**7)))
-    n_values = [int(n) for n in doc.get("n_values", range(2, n_target + 1))] or [n_target]
+    except (TypeError, ValueError) as exc:
+        raise UsageError(f"bad config: {exc}") from exc
+    if not all(1 <= n <= n_target for n in n_values):
+        raise UsageError(f"config n_values must lie in 1..n_target = {n_target}, got {n_values}")
     return config, n_values, doc
 
 
@@ -299,9 +292,9 @@ def cmd_simulate(args) -> int:
     config, n_values, doc = _load_simulation_config(args.config, args.seed)
     summary = montecarlo.bias_risk_table(config, threads=args.threads)
     out_csv = outdir / "simulate_summary.csv"
-    montecarlo.summary_to_csv(summary, out_csv, n_values=n_values)
+    output.write_csv(out_csv, montecarlo.CSV_HEADER, summary.to_csv_rows(n_values))
     out_json = outdir / "simulate_summary.json"
-    montecarlo.summary_to_json(summary, out_json)
+    output.write_json(out_json, summary.to_json_dict())
     if config.replications == 1:
         print("warning: single replicate, standard errors undefined (reported as nan)",
               file=sys.stderr)
@@ -317,9 +310,9 @@ def cmd_simulate(args) -> int:
                                counters=summary.counters)
     for c in summary.cells:
         if c.n in n_values:
-            print(f"{c.estimator.value} n={c.n} bias={_fmt(c.bias)} risk={_fmt(c.risk)} "
-                  f"se_bias={_fmt(c.se_bias)} se_risk={_fmt(c.se_risk)}")
-    print(f"truncated fraction: {_fmt(summary.truncation_fraction)}")
+            print(f"{c.estimator.value} n={c.n} bias={fmt(c.bias)} risk={fmt(c.risk)} "
+                  f"se_bias={fmt(c.se_bias)} se_risk={fmt(c.se_risk)}")
+    print(f"truncated fraction: {fmt(summary.truncation_fraction)}")
     print(f"manifest: {manifest}")
     return 0
 
@@ -340,24 +333,15 @@ def cmd_critvals(args) -> int:
                                {"n_min": args.n_min, "n_max": args.n_max,
                                 "alphas": list(args.alphas), "reps": args.reps},
                                args.seed, [], [out_csv, out_json])
-    header = "n " + " ".join(_fmt(a) for a in table.alphas)
-    print(header)
+    print("n " + " ".join(fmt(a) for a in table.alphas))
     for i, n in enumerate(table.n_values):
-        print(f"{n} " + " ".join(_fmt(float(q)) for q in table.quantiles[i]))
+        print(f"{n} " + " ".join(fmt(float(q)) for q in table.quantiles[i]))
     print(f"manifest: {manifest}")
     return 0
 
 
-def _stationarity_inputs(args) -> tuple[np.ndarray, families.FamilySpec, Path | None, Path]:
-    in_path = Path(_resolve_input(args.input))
-    seq = _load_sequence(in_path, getattr(args, "column", None))
-    family, fam_path = _load_family(args.family)
-    return seq, family, fam_path, in_path
-
-
-def _run_test(seq, family, alpha: float, table_path: str | None, seed: int,
+def _run_test(canon: records.RecordSet, alpha: float, table_path: str | None, seed: int,
               reps: int, threads: int) -> dict:
-    canon = records.canonical_records(seq, family)
     if len(canon) < 2:
         raise UsageError("fewer than 2 records: the test needs at least two")
     spacings = np.diff(np.concatenate(([0.0], canon.values)))
@@ -383,12 +367,17 @@ def _run_test(seq, family, alpha: float, table_path: str | None, seed: int,
 
 def cmd_test(args) -> int:
     outdir = _outdir(args)
-    seq, family, fam_path, in_path = _stationarity_inputs(args)
-    report = _run_test(seq, family, args.alpha, args.table, args.seed, args.reps, args.threads)
+    in_path = Path(_resolve_input(args.input))
+    seq = _load_sequence(in_path, args.column)
+    family, fam_path = _load_family(args.family)
+    if family.kind == families.Kind.GAMMA_TYPE and family.shape_p != 1.0:
+        # the null table is the law of T only for exponential canonical spacings
+        raise UsageError(f"the test needs exponential spacings: gamma-type families "
+                         f"need p = 1, got p = {fmt(family.shape_p)}")
+    canon = records.canonical_records(seq, family)
+    report = _run_test(canon, args.alpha, args.table, args.seed, args.reps, args.threads)
     out_json = outdir / "test_report.json"
-    with open(out_json, "w", encoding="utf-8") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    output.write_json(out_json, report)
     inputs = [in_path] + ([fam_path] if fam_path else []) + ([Path(args.table)] if args.table else [])
     manifest = _write_manifest(outdir, "test",
                                {"input": str(in_path), "family": families.to_json_dict(family),
@@ -396,8 +385,8 @@ def cmd_test(args) -> int:
                                 "table_reps": report["table_replications"],
                                 "table_master_seed": report["table_master_seed"]},
                                args.seed, inputs, [out_json])
-    print(f"T = {_fmt(report['T'])} with n = {report['n']} records")
-    print(f"t_n(alpha={_fmt(args.alpha)}) = {_fmt(report['critical_value'])}")
+    print(f"T = {fmt(report['T'])} with n = {report['n']} records")
+    print(f"t_n(alpha={fmt(args.alpha)}) = {fmt(report['critical_value'])}")
     print(f"decision: {report['decision']}")
     print(f"manifest: {manifest}")
     return 0
@@ -411,29 +400,17 @@ def cmd_demo_rainfall(args) -> int:
     rec = records.extract_records(seq, records.Direction.UPPER)
     canon = records.canonical_records(seq, family)
     # first, so that a bad --alpha exits before any file is written
-    report = _run_test(seq, family, args.alpha, args.table, args.seed, args.reps, args.threads)
+    report = _run_test(canon, args.alpha, args.table, args.seed, args.reps, args.threads)
 
-    rows = [[i + 1, int(t), float(v)] for i, (t, v) in enumerate(zip(rec.times, rec.values))]
     out_records = outdir / "rainfall_records.csv"
-    _write_csv(out_records, ["index", "time", "value"], rows)
-
-    paths = []
-    for label, stationary in (("stationary", True), ("nonstationary", False)):
-        reports = estimators.estimate_path(canon, family, stationary, args.band_factor)
-        paths.append((label, reports))
+    _write_records(out_records, rec)
     out_paths = outdir / "rainfall_estimates.csv"
-    path_rows = []
-    for label, reports in paths:
-        for r in reports:
-            path_rows.append([label, r.n, r.estimator_id.value, r.estimate,
-                              r.risk_estimate, r.band[0], r.band[1]])
-    _write_csv(out_paths, ["hypothesis", "n", "estimator_id", "estimate",
-                           "risk_estimate", "band_lo", "band_hi"], path_rows)
-
+    output.write_csv(out_paths, ["hypothesis"] + ESTIMATE_HEADER, [
+        [label] + r.to_csv_row()
+        for label, stationary in (("stationary", True), ("nonstationary", False))
+        for r in estimators.estimate_path(canon, family, stationary, args.band_factor)])
     out_json = outdir / "rainfall_test.json"
-    with open(out_json, "w", encoding="utf-8") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    output.write_json(out_json, report)
 
     manifest = _write_manifest(outdir, "demo-rainfall",
                                {"dataset": datasets.RAINFALL_DATASET,
@@ -441,9 +418,9 @@ def cmd_demo_rainfall(args) -> int:
                                 "alpha": args.alpha, "band_factor": args.band_factor},
                                args.seed, [in_path], [out_records, out_paths, out_json])
     print(f"dataset: {datasets.RAINFALL_DATASET} ({len(rec)} records)")
-    print(f"record values: " + " ".join(_fmt(float(v)) for v in rec.values))
-    print(f"T = {_fmt(report['T'])}, t_{report['n']}({_fmt(args.alpha)}) = "
-          f"{_fmt(report['critical_value'])} -> {report['decision']}")
+    print(f"record values: " + " ".join(fmt(float(v)) for v in rec.values))
+    print(f"T = {fmt(report['T'])}, t_{report['n']}({fmt(args.alpha)}) = "
+          f"{fmt(report['critical_value'])} -> {report['decision']}")
     print("note: the goodness-of-fit p-value for the fitted cdf cannot be recomputed "
           "here because only the record sequence is bundled, not the raw 100-year series")
     print(f"outputs: {out_records} {out_paths} {out_json}")

@@ -28,9 +28,3 @@ def rainfall_family() -> families.FamilySpec:
 def rainfall_records_path() -> str:
     """Filesystem path of the bundled record file (one value per line)."""
     return str(resources.files("recsel").joinpath("data/lacc_rainfall_records.txt"))
-
-
-def dataset_path(name: str) -> str:
-    if name == RAINFALL_DATASET:
-        return rainfall_records_path()
-    raise KeyError(f"unknown bundled dataset {name!r}")

@@ -219,31 +219,33 @@ def _quad(fn, a: float, b: float, epsabs: float, epsrel: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# reports
+# estimator table and estimate paths
 
 
-def stationary_umvue(record_set: RecordSet, family: families.FamilySpec, n: int,
-                     band_factor: float = DEFAULT_BAND_FACTOR) -> EstimateReport:
-    """Estimate under the stationary hypothesis: all populations share one
-    theta, estimated by H(U_n)/n with unbiased risk estimate
-    H(U_n)^2 / (n^2 (n+1))."""
-    if family.kind == families.Kind.GAMMA_TYPE:
-        raise UsageError("stationary_umvue is defined for hazard families")
-    if n < 1 or n > len(record_set):
-        raise UsageError(f"n = {n} outside the available {len(record_set)} records")
-    h = float(families.canonical_transform(family, record_set.values[n - 1]))
-    estimate = h / n
-    risk = h * h / (n * n * (n + 1.0))
-    return EstimateReport(EstimatorId.STATIONARY_UMVUE, n, estimate, risk,
-                          _make_band(estimate, risk, band_factor), band_factor)
+# Which estimators a family kind gets: its selection estimator, then the
+# plug-in one that ignores the selection effect.
+ESTIMATORS = {
+    families.Kind.GAMMA_TYPE: (EstimatorId.UMVUE_GAMMA, EstimatorId.NATURAL_GAMMA),
+    families.Kind.PROPORTIONAL_HAZARD: (EstimatorId.UMVUE_PHR, EstimatorId.NATURAL_PHR),
+    families.Kind.PROPORTIONAL_REVERSED_HAZARD: (EstimatorId.UMVUE_PRHR, EstimatorId.NATURAL_PHR),
+}
 
 
-def _selection_estimator_id(family: families.FamilySpec) -> EstimatorId:
-    if family.kind == families.Kind.GAMMA_TYPE:
-        return EstimatorId.UMVUE_GAMMA
-    if family.kind == families.Kind.PROPORTIONAL_HAZARD:
-        return EstimatorId.UMVUE_PHR
-    return EstimatorId.UMVUE_PRHR
+def evaluate(estimator: EstimatorId, prev, curr, p: float | None = None, risk: bool = False):
+    """A per-record estimator at consecutive canonical records (prev = 0
+    encodes n = 1), or with risk=True the closed-form unbiased estimate of
+    its risk, which the selection estimators have."""
+    if estimator == EstimatorId.UMVUE_GAMMA:
+        return (risk_umvue_gamma if risk else umvue_gamma)(prev, curr, p)
+    if estimator in (EstimatorId.UMVUE_PHR, EstimatorId.UMVUE_PRHR):
+        return (risk_umvue_phr if risk else umvue_phr)(prev, curr)
+    if risk:
+        raise UsageError(f"{estimator.value} has no closed-form risk estimate")
+    if estimator == EstimatorId.NATURAL_GAMMA:
+        return natural_gamma(curr, p)
+    if estimator == EstimatorId.NATURAL_PHR:
+        return natural_phr(curr)
+    raise UsageError(f"{estimator} is not a per-record selection estimator")
 
 
 def estimate_path(canonical: RecordSet, family: families.FamilySpec, stationary: bool,
@@ -251,28 +253,20 @@ def estimate_path(canonical: RecordSet, family: families.FamilySpec, stationary:
     """Per-record estimate series for a canonical RecordSet (see
     records.canonical_records).  Under the stationary hypothesis the series
     is H(U_n)/n; otherwise the selection estimator for the family kind."""
-    reports = []
+    if stationary and family.kind == families.Kind.GAMMA_TYPE:
+        raise UsageError("stationary estimates are defined for hazard families")
+    est_id = EstimatorId.STATIONARY_UMVUE if stationary else ESTIMATORS[family.kind][0]
     values = canonical.values
-    if stationary:
-        if family.kind == families.Kind.GAMMA_TYPE:
-            raise UsageError("stationary estimates are defined for hazard families")
-        for n in range(1, len(canonical) + 1):
-            h = float(values[n - 1])
-            estimate = h / n
-            risk = h * h / (n * n * (n + 1.0))
-            reports.append(EstimateReport(EstimatorId.STATIONARY_UMVUE, n, estimate, risk,
-                                          _make_band(estimate, risk, band_factor), band_factor))
-        return reports
-    est_id = _selection_estimator_id(family)
+    reports = []
     for n in range(1, len(canonical) + 1):
-        prev = float(values[n - 2]) if n > 1 else 0.0
         curr = float(values[n - 1])
-        if family.kind == families.Kind.GAMMA_TYPE:
-            estimate = umvue_gamma(prev, curr, family.shape_p)
-            risk = risk_umvue_gamma(prev, curr, family.shape_p)
+        if stationary:
+            estimate = curr / n
+            risk = curr * curr / (n * n * (n + 1.0))
         else:
-            estimate = umvue_phr(prev, curr)
-            risk = risk_umvue_phr(prev, curr)
+            prev = float(values[n - 2]) if n > 1 else 0.0
+            estimate = evaluate(est_id, prev, curr, family.shape_p)
+            risk = evaluate(est_id, prev, curr, family.shape_p, risk=True)
         reports.append(EstimateReport(est_id, n, estimate, risk,
                                       _make_band(estimate, risk, band_factor), band_factor))
     return reports

@@ -508,19 +508,20 @@ def to_json_dict(family: FamilySpec) -> dict:
 
 
 def from_json_dict(doc: dict) -> FamilySpec:
+    """A family from its JSON document; a malformed one is a usage error."""
     try:
         kind = Kind(doc["kind"])
         member = Member(doc["member"])
-    except (KeyError, ValueError) as exc:
+        params = dict(doc.get("params", {}))
+        if "custom_H" in params:
+            params.update(params.pop("custom_H"))
+        if kind == Kind.GAMMA_TYPE:
+            return gamma_type(member, p=doc.get("p"), **params)
+        if kind == Kind.PROPORTIONAL_HAZARD:
+            return proportional_hazard(member, **params)
+        return proportional_reversed_hazard(member, **params)
+    except (KeyError, TypeError, ValueError) as exc:
         raise UsageError(f"bad family document: {exc}") from exc
-    params = dict(doc.get("params", {}))
-    if "custom_H" in params:
-        params.update(params.pop("custom_H"))
-    if kind == Kind.GAMMA_TYPE:
-        return gamma_type(member, p=doc.get("p"), **params)
-    if kind == Kind.PROPORTIONAL_HAZARD:
-        return proportional_hazard(member, **params)
-    return proportional_reversed_hazard(member, **params)
 
 
 def to_json(family: FamilySpec) -> str:

@@ -11,7 +11,6 @@ config streams observations up to the n-th record.
 from __future__ import annotations
 
 import enum
-import json
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from types import MappingProxyType
@@ -86,15 +85,15 @@ class ParameterSequenceModel:
 
     @staticmethod
     def from_json_dict(doc: dict) -> "ParameterSequenceModel":
+        """A theta model from its JSON document; a malformed one is a usage error."""
         try:
             scheme = Scheme(doc["scheme"])
-        except (KeyError, ValueError) as exc:
+            params = dict(doc.get("params", {}))
+            if scheme == Scheme.USER_SUPPLIED:
+                params["thetas"] = tuple(float(t) for t in params.get("thetas", ()))
+            return ParameterSequenceModel(scheme, MappingProxyType(params))
+        except (KeyError, TypeError, ValueError) as exc:
             raise UsageError(f"bad theta model document: {exc}") from exc
-        params = doc.get("params", {})
-        if scheme == Scheme.USER_SUPPLIED:
-            params = dict(params)
-            params["thetas"] = tuple(float(t) for t in params.get("thetas", ()))
-        return ParameterSequenceModel(scheme, MappingProxyType(dict(params)))
 
 
 def _affine_scan(mult: np.ndarray, add: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -124,19 +123,15 @@ def _affine_scan(mult: np.ndarray, add: np.ndarray) -> tuple[np.ndarray, np.ndar
 
 
 class ThetaStream:
-    """Stateful sampler of theta sequences; take(k) continues where the
-    previous call stopped.
-
-    Given one generator, take returns a 1-d block.  Given a list of
-    generators it returns a (rows, k) block, one row per generator, and
-    `rows` restricts a call to some of them.  Each row draws from its own
-    generator in the order a stream of that generator alone would.
+    """Stateful sampler of theta sequences, one row per generator of `rngs`;
+    take(k, rows) returns a (rows, k) block and continues each row where its
+    previous call stopped.  Each row draws from its own generator in the
+    order a stream of that generator alone would.
     """
 
-    def __init__(self, model: ParameterSequenceModel, rng):
+    def __init__(self, model: ParameterSequenceModel, rngs):
         self.model = model
-        self._single = isinstance(rng, np.random.Generator)
-        self._rngs = [rng] if self._single else list(rng)
+        self._rngs = list(rngs)
         m = len(self._rngs)
         self._index = np.zeros(m, dtype=np.int64)  # observations generated so far
         self._ar_prev = np.zeros(m)  # theta_0 = 0 for the autoregressive scheme
@@ -209,14 +204,11 @@ class ThetaStream:
         else:  # pragma: no cover
             raise UsageError(f"unknown scheme {scheme}")
         self._index[rows] += count
-        return out[0] if self._single else out
+        return out
 
     def _note(self, hit: np.ndarray) -> None:
         if hit.any():
             self.departed = hit
-
-    def next(self) -> float:
-        return float(self.take(1)[0])
 
     def remaining(self) -> int | None:
         """How many more values every row can produce (None = unbounded)."""
@@ -543,18 +535,13 @@ class SimulationSummary:
                 return c
         raise UsageError(f"no cell for ({estimator}, n={n})")
 
-    def to_csv_rows(self, scheme: str | None = None, p: float | None = None,
-                    n_values=None) -> list[list]:
-        scheme = scheme if scheme is not None else self.config.theta_model.scheme.value
-        if p is None and self.config.family.kind == families.Kind.GAMMA_TYPE:
-            p = self.config.family.shape_p
-        rows = []
-        for c in self.cells:
-            if n_values is not None and c.n not in n_values:
-                continue
-            rows.append([scheme, "" if p is None else p, c.n, c.estimator.value,
-                         c.bias, c.risk, c.se_bias, c.se_risk])
-        return rows
+    def to_csv_rows(self, n_values=None) -> list[list]:
+        """Rows under CSV_HEADER, for the cells whose n is in n_values (all
+        by default)."""
+        p = self.config.family.shape_p
+        return [[self.config.theta_model.scheme.value, "" if p is None else p, c.n,
+                 c.estimator.value, c.bias, c.risk, c.se_bias, c.se_risk]
+                for c in self.cells if n_values is None or c.n in n_values]
 
     def to_json_dict(self) -> dict:
         return {
@@ -575,26 +562,6 @@ class SimulationSummary:
 CSV_HEADER = ["scheme", "p", "n", "estimator", "bias", "risk", "se_bias", "se_risk"]
 
 
-def default_estimators(family: families.FamilySpec) -> tuple[estimators.EstimatorId, ...]:
-    if family.kind == families.Kind.GAMMA_TYPE:
-        return (estimators.EstimatorId.UMVUE_GAMMA, estimators.EstimatorId.NATURAL_GAMMA)
-    if family.kind == families.Kind.PROPORTIONAL_HAZARD:
-        return (estimators.EstimatorId.UMVUE_PHR, estimators.EstimatorId.NATURAL_PHR)
-    return (estimators.EstimatorId.UMVUE_PRHR, estimators.EstimatorId.NATURAL_PHR)
-
-
-def _evaluate(estimator: estimators.EstimatorId, prev, curr, p):
-    if estimator == estimators.EstimatorId.UMVUE_GAMMA:
-        return estimators.umvue_gamma(prev, curr, p)
-    if estimator == estimators.EstimatorId.NATURAL_GAMMA:
-        return estimators.natural_gamma(curr, p)
-    if estimator in (estimators.EstimatorId.UMVUE_PHR, estimators.EstimatorId.UMVUE_PRHR):
-        return estimators.umvue_phr(prev, curr)
-    if estimator == estimators.EstimatorId.NATURAL_PHR:
-        return estimators.natural_phr(curr)
-    raise UsageError(f"{estimator} is not a per-record selection estimator")
-
-
 def bias_risk_table(config: SimulationConfig, estimator_ids=None,
                     threads: int = 1) -> SimulationSummary:
     """Simulated bias and risk of the chosen estimators for n = 1..n_target.
@@ -602,7 +569,7 @@ def bias_risk_table(config: SimulationConfig, estimator_ids=None,
     A cell may be inf or NaN, as when clamped geometric thetas near e^700
     square past float64; numpy's overflow warnings are silenced and the
     counters report how many cells are not finite (non_finite_cells)."""
-    estimator_ids = tuple(estimator_ids or default_estimators(config.family))
+    estimator_ids = tuple(estimator_ids or estimators.ESTIMATORS[config.family.kind])
     draws = simulate_records(config, threads=threads)
     ok = draws.ok
     n_ok = int(ok.sum())
@@ -623,7 +590,7 @@ def bias_risk_table(config: SimulationConfig, estimator_ids=None,
             prev = vals[:, n - 2] if n > 1 else np.zeros(n_ok)
             curr = vals[:, n - 1]
             with np.errstate(over="ignore", invalid="ignore"):
-                err = _evaluate(est, prev, curr, p) - ths[:, n - 1]
+                err = estimators.evaluate(est, prev, curr, p) - ths[:, n - 1]
                 sq = err * err
                 bias = float(err.mean())
                 risk = float(sq.mean())
@@ -657,25 +624,3 @@ def spacing_survival_check(config: SimulationConfig, y_grid, threads: int = 1) -
     emp = (spacing[:, None] > y[None, :]).mean(axis=0)
     mix = np.exp(-y[None, :] / theta_sel[:, None]).mean(axis=0)
     return float(np.max(np.abs(emp - mix)))
-
-
-def summary_to_csv(summary: SimulationSummary, path, n_values=None) -> None:
-    import csv
-
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(CSV_HEADER)
-        for row in summary.to_csv_rows(n_values=n_values):
-            writer.writerow([_fmt(v) for v in row])
-
-
-def summary_to_json(summary: SimulationSummary, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(summary.to_json_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def _fmt(v):
-    if isinstance(v, float):
-        return format(v, ".6g")
-    return v

@@ -8,7 +8,6 @@ exponential ratios and tabulated as quantiles t_n(alpha).
 
 from __future__ import annotations
 
-import csv
 import enum
 import json
 import math
@@ -17,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import output
 from .errors import DataError, DomainError, UsageError
 from .streams import substream
 
@@ -46,14 +46,6 @@ def _null_T_block(n: int, count: int, rng: np.random.Generator) -> np.ndarray:
     jumps -= 1.0
     np.square(jumps, out=jumps)
     return np.mean(jumps, axis=1)
-
-
-def simulate_null_T(n: int, rng: np.random.Generator) -> float:
-    """One draw from the null distribution via the iid exponential-ratio
-    representation."""
-    if n < 2:
-        raise UsageError("the statistic needs n >= 2 records")
-    return float(_null_T_block(n, 1, rng)[0])
 
 
 def upper_quantile(draws: np.ndarray, alpha: float) -> float:
@@ -113,25 +105,18 @@ class CriticalValueTable:
         raise UsageError(f"table has no column for alpha = {alpha}")
 
     def to_csv(self, path) -> None:
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            fh.write(f"# replications={self.replications}\n")
-            fh.write(f"# master_seed={self.master_seed}\n")
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["n"] + [format(a, "g") for a in self.alphas])
-            for i, n in enumerate(self.n_values):
-                writer.writerow([n] + [format(q, ".6g") for q in self.quantiles[i]])
+        output.write_csv(path, ["n", *self.alphas],
+                         [[n, *row] for n, row in zip(self.n_values, self.quantiles.tolist())],
+                         {"replications": self.replications, "master_seed": self.master_seed})
 
     def to_json(self, path) -> None:
-        doc = {
+        output.write_json(path, {
             "n_values": list(self.n_values),
             "alphas": list(self.alphas),
-            "quantiles": [list(map(float, row)) for row in self.quantiles],
+            "quantiles": self.quantiles.tolist(),
             "replications": self.replications,
             "master_seed": self.master_seed,
-        }
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        })
 
     @staticmethod
     def from_csv(path) -> "CriticalValueTable":

@@ -52,8 +52,7 @@ class TestExactChainAgainstStreaming:
 class TestNormalizedSample:
     def test_gumbel_marginal(self):
         rng = np.random.default_rng(11)
-        samples = asymptotics.normalized_sample(CONST, 30, 10**4, rng)
-        u_n, _, _ = asymptotics.sample_arrays(samples)
+        u_n, _, _ = asymptotics.normalized_sample(CONST, 30, 10**4, rng)
         d = sps.kstest(u_n, lambda x: asymptotics.gumbel_cdf(x)).statistic
         assert d < 0.05
 
@@ -65,8 +64,7 @@ class TestNormalizedSample:
         devs = []
         for n in (3, 5, 30):
             rng = np.random.default_rng(12)
-            samples = asymptotics.normalized_sample(CONST, n, 10**5, rng)
-            u_n, u_p, _ = asymptotics.sample_arrays(samples)
+            u_n, u_p, _ = asymptotics.normalized_sample(CONST, n, 10**5, rng)
             dev = max(
                 abs(float(np.mean((u_n <= y) & (u_p <= z))) - asymptotics.gumbel_joint_cdf(y, z))
                 for y, z in grid)
@@ -76,21 +74,20 @@ class TestNormalizedSample:
 
     def test_time_clt(self):
         rng = np.random.default_rng(13)
-        samples = asymptotics.normalized_sample(CONST, 30, 10**4, rng)
-        _, _, t_star = asymptotics.sample_arrays(samples)
+        _, _, t_star = asymptotics.normalized_sample(CONST, 30, 10**4, rng)
         d = sps.kstest(t_star, "norm").statistic
         assert d < 0.1
 
     def test_ordering_invariant(self):
         rng = np.random.default_rng(14)
-        samples = asymptotics.normalized_sample(CONST, 8, 500, rng)
-        assert all(s.u_star_n > s.u_star_prev for s in samples)
+        u_n, u_p, _ = asymptotics.normalized_sample(CONST, 8, 500, rng)
+        assert u_n.shape == u_p.shape == (500,)
+        assert np.all(u_n > u_p)
 
     def test_streaming_fallback_for_improving_scheme(self):
         rng = np.random.default_rng(15)
-        samples = asymptotics.normalized_sample(
+        u_n, u_p, t_star = asymptotics.normalized_sample(
             ParameterSequenceModel.stochastic_geometric(), 6, 2000, rng)
-        u_n, u_p, t_star = asymptotics.sample_arrays(samples)
         assert np.all(np.isfinite(u_n)) and np.all(np.isfinite(u_p)) and np.all(np.isfinite(t_star))
         assert np.all(u_n > u_p)
 
@@ -126,6 +123,16 @@ class TestRiskRate:
         rates = [p.rate for p in points]
         assert all(a > b for a, b in zip(rates, rates[1:]))
 
+    def test_first_record_and_streamed_schemes(self):
+        # at n = 1 the previous record is 0, so the estimator is the first record
+        rng = np.random.default_rng(20)
+        (first,) = asymptotics.risk_rate(CONST, [1], 2 * 10**4, rng)
+        assert abs(first.risk - 1.0) < 4 * first.se
+        points = asymptotics.risk_rate(ParameterSequenceModel.stochastic_geometric(), [1, 3], 2000, rng)
+        assert [p.n for p in points] == [1, 3]
+        assert all(np.isfinite(p.risk) and p.risk > 0 for p in points)
+        assert points[1].rate == points[1].risk / 3
+
     def test_identity_anchor_under_changing_thetas(self):
         # risk of the spacing estimator equals E[theta_selected^2] at finite n
         model = ParameterSequenceModel.stochastic_geometric()
@@ -139,14 +146,6 @@ class TestRiskRate:
         diff = err2 - draws.thetas[ok, 2] ** 2
         se = diff.std(ddof=1) / math.sqrt(diff.size)
         assert abs(diff.mean()) < 4 * se
-
-    def test_csv_rows(self):
-        rng = np.random.default_rng(19)
-        points = asymptotics.risk_rate(CONST, [5], 1000, rng)
-        rows = asymptotics.diagnostics_csv_rows(points)
-        assert rows[0][:2] == [5, "risk"]
-        assert rows[1][:2] == [5, "risk_over_n"]
-        assert rows[1][2] == pytest.approx(rows[0][2] / 5.0)
 
 
 class TestJointCdfFormula:

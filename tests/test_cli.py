@@ -256,6 +256,50 @@ class TestSimulateCommand:
         assert seen[0][key] > 0
 
 
+GOOD_CONFIG = {"family": {"kind": "gamma_type", "member": "gamma", "p": 0.5},
+               "theta_model": {"scheme": "constant", "params": {"value": 1.0}},
+               "n_target": 3, "replications": 10, "master_seed": 1}
+BAD_FAMILIES = {
+    "gamma p": {"kind": "gamma_type", "member": "gamma", "p": "x"},
+    "pareto beta": {"kind": "proportional_hazard", "member": "pareto", "params": {"beta": "b"}},
+    "custom table": {"kind": "proportional_hazard", "member": "custom",
+                     "params": {"table_x": [0.0, 1.0], "table_h": "ab"}},
+}
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param(["simulate", "--config", dict(GOOD_CONFIG, n_target="x")], id="config n_target"),
+    pytest.param(["simulate", "--config", [1, 2]], id="config list"),
+    pytest.param(["simulate", "--config", dict(GOOD_CONFIG, family="gamma")], id="config family"),
+    pytest.param(["simulate", "--config", dict(GOOD_CONFIG, theta_model={
+        "scheme": "constant", "params": {"value": "a"}})], id="config constant value"),
+    *[pytest.param([command, "--input", "lacc-rainfall-records", "--family", json.dumps(family)],
+                   id=f"{command} {name}")
+      for command in ("test", "estimate") for name, family in BAD_FAMILIES.items()],
+])
+def test_malformed_values_are_usage_errors(tmp_path, capsys, argv):
+    """A config or family value of the wrong type exits 2 with a message,
+    not with a traceback."""
+    config = tmp_path / "config.json"
+    if argv[0] == "simulate":
+        config.write_text(json.dumps(argv[2]), encoding="utf-8")
+        argv = argv[:2] + [str(config)]
+    out = tmp_path / "o"
+    assert run(*argv, "--out", str(out)) == 2
+    assert capsys.readouterr().err.startswith("usage error:")
+    assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("n_values", [[7], [0, 2], [2, 4]])
+def test_config_n_values_outside_n_target(tmp_path, capsys, n_values):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(dict(GOOD_CONFIG, n_values=n_values)), encoding="utf-8")
+    out = tmp_path / "o"
+    assert run("simulate", "--config", str(config), "--out", str(out)) == 2
+    assert "n_values must lie in 1..n_target = 3" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
 class TestCritvalsCommand:
     def test_shape_and_warning(self, tmp_path, capsys):
         out = tmp_path / "o"
@@ -363,6 +407,26 @@ class TestTestCommand:
     def test_missing_input(self, tmp_path):
         assert run("test", "--input", str(tmp_path / "nope.txt"), "--family", RAIN_FAMILY,
                    "--out", str(tmp_path / "o")) == 3
+
+    @pytest.mark.parametrize("family, code", [
+        ({"member": "gamma", "p": 0.5}, 2),
+        ({"member": "gamma", "p": 3.0}, 2),
+        ({"member": "normal_zero_mean"}, 2),
+        ({"member": "gamma", "p": 1.0}, 0),
+        ({"member": "rayleigh"}, 0),
+    ])
+    def test_gamma_type_needs_p_one(self, tmp_path, capsys, family, code):
+        """The null table is the law of T for exponential canonical spacings,
+        which a gamma-type family has only at p = 1."""
+        family = json.dumps(dict(family, kind="gamma_type"))
+        out = tmp_path / "o"
+        assert run("test", "--input", "lacc-rainfall-records", "--family", family,
+                   "--reps", "2000", "--seed", "3", "--out", str(out)) == code
+        if code == 2:
+            assert "gamma-type families need p = 1" in capsys.readouterr().err
+            assert list(out.iterdir()) == []
+        else:
+            assert json.loads((out / "test_report.json").read_text())["n"] == 8
 
 
 class TestDemoRainfall:

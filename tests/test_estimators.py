@@ -212,21 +212,13 @@ class TestScaleEquivariance:
 class TestReports:
     def test_stationary_values(self):
         fam = families.proportional_hazard(Member.EXPONENTIAL)
-        rec = records.extract_records([2.0, 8.0], "upper")
-        rep = estimators.stationary_umvue(rec, fam, 2)
+        canon = records.canonical_records([2.0, 8.0], fam)
+        rep1, rep = estimators.estimate_path(canon, fam, stationary=True)
+        assert rep.estimator_id == EstimatorId.STATIONARY_UMVUE
         assert rep.estimate == pytest.approx(4.0)
         assert rep.risk_estimate == pytest.approx(64.0 / 12.0)
-        rep1 = estimators.stationary_umvue(rec, fam, 1)
         assert rep1.estimate == pytest.approx(2.0)
         assert rep1.risk_estimate == pytest.approx(4.0 / 2.0)
-        with pytest.raises(UsageError):
-            estimators.stationary_umvue(rec, fam, 3)
-
-    def test_stationary_rainfall_level(self):
-        fam = families.proportional_hazard(Member.CUSTOM, shift=4.0, power=1.9, scale=1.0)
-        rec = records.extract_records(RAINFALL, "upper")
-        rep = estimators.stationary_umvue(rec, fam, 8)
-        assert rep.estimate == pytest.approx((34.04 - 4.0) ** 1.9 / 8.0, rel=1e-12)
 
     def test_band_geometry(self):
         rep = estimators.EstimateReport(EstimatorId.UMVUE_PHR, 2, 5.0, 4.0, (2.0, 8.0), 1.5)
@@ -266,6 +258,21 @@ class TestReports:
         assert reports[1].estimate == pytest.approx(4.0)  # (4.5/1)(1 - 0.5/4.5)
         with pytest.raises(UsageError):
             estimators.estimate_path(canon, fam, stationary=True)
+
+    def test_estimator_table(self):
+        """Each kind's first estimator is the one estimate_path reports, and
+        evaluate gives the same values and risks as the closed forms."""
+        prev, curr = np.array([0.0, 1.0]), np.array([2.0, 3.0])
+        for selection, plug_in in estimators.ESTIMATORS.values():
+            assert selection.value.startswith("umvue") and plug_in.value.startswith("natural")
+        assert estimators.evaluate(EstimatorId.UMVUE_GAMMA, prev, curr, 0.5).tolist() == \
+            estimators.umvue_gamma(prev, curr, 0.5).tolist()
+        assert estimators.evaluate(EstimatorId.UMVUE_PRHR, prev, curr, risk=True).tolist() == [2.0, 2.0]
+        assert estimators.evaluate(EstimatorId.NATURAL_GAMMA, prev, curr, 0.5).tolist() == [4.0, 6.0]
+        assert estimators.evaluate(EstimatorId.NATURAL_PHR, prev, curr).tolist() == [2.0, 3.0]
+        for est, risk in ((EstimatorId.NATURAL_PHR, True), (EstimatorId.STATIONARY_UMVUE, False)):
+            with pytest.raises(UsageError):
+                estimators.evaluate(est, prev, curr, risk=risk)
 
     def test_reversed_family_path(self):
         fam = families.proportional_reversed_hazard(Member.BETA)

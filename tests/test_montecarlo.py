@@ -26,10 +26,10 @@ def exp_family():
 
 class TestThetaStream:
     def test_constant(self):
-        stream = montecarlo.ThetaStream(ParameterSequenceModel.constant(1.0), np.random.default_rng(0))
+        stream = montecarlo.ThetaStream(ParameterSequenceModel.constant(1.0), [np.random.default_rng(0)])
         assert np.all(stream.take(10) == 1.0)
-        stream = montecarlo.ThetaStream(ParameterSequenceModel.constant(2.5), np.random.default_rng(0))
-        assert stream.take(17)[-1] == 2.5
+        stream = montecarlo.ThetaStream(ParameterSequenceModel.constant(2.5), [np.random.default_rng(0)])
+        assert stream.take(17)[0, -1] == 2.5
 
     def test_affine_scan_matches_loop(self):
         rng = np.random.default_rng(1)
@@ -50,8 +50,8 @@ class TestThetaStream:
         vals = np.empty(reps)
         for r in range(reps):
             stream = montecarlo.ThetaStream(ParameterSequenceModel.ar_positive_error(),
-                                            replicate_stream(5, r))
-            vals[r] = stream.next()
+                                            [replicate_stream(5, r)])
+            vals[r] = stream.take(1)[0, 0]
         se = vals.std(ddof=1) / math.sqrt(reps)
         assert abs(vals.mean() - 1.0) < 4 * se
 
@@ -59,8 +59,8 @@ class TestThetaStream:
         # replay the same generator to rebuild the recurrence across the
         # take boundary by hand
         model = ParameterSequenceModel.ar_positive_error()
-        stream = montecarlo.ThetaStream(model, np.random.default_rng(7))
-        got = np.concatenate([stream.take(13), stream.take(87)])
+        stream = montecarlo.ThetaStream(model, [np.random.default_rng(7)])
+        got = np.concatenate([stream.take(13)[0], stream.take(87)[0]])
         rng = np.random.default_rng(7)
         expect = np.empty(100)
         theta = 0.0
@@ -73,8 +73,8 @@ class TestThetaStream:
         assert got == pytest.approx(expect, rel=1e-10)
 
     def test_white_noise_mean(self):
-        stream = montecarlo.ThetaStream(ParameterSequenceModel.white_noise(), np.random.default_rng(2))
-        vals = stream.take(10**6)
+        stream = montecarlo.ThetaStream(ParameterSequenceModel.white_noise(), [np.random.default_rng(2)])
+        vals = stream.take(10**6)[0]
         assert abs(vals.mean() - 10.0) < 0.004
         assert np.all(vals > 0)
 
@@ -85,21 +85,21 @@ class TestThetaStream:
         model = ParameterSequenceModel.stochastic_geometric(True)
         vals = np.empty(reps)
         for r in range(reps):
-            vals[r] = montecarlo.ThetaStream(model, replicate_stream(3, r)).take(i)[i - 1]
+            vals[r] = montecarlo.ThetaStream(model, [replicate_stream(3, r)]).take(i)[0, i - 1]
         expect = 5.0 * (1.1**i - 1.0) / i
         se = vals.std(ddof=1) / math.sqrt(reps)
         assert abs(vals.mean() - expect) < 4 * se
 
     def test_geometric_fixed_reading_is_monotone(self):
         stream = montecarlo.ThetaStream(ParameterSequenceModel.stochastic_geometric(False),
-                                        np.random.default_rng(4))
-        vals = stream.take(50)
+                                        [np.random.default_rng(4)])
+        vals = stream.take(50)[0]
         assert np.all(np.diff(vals) > 0)
 
     def test_user_supplied_exhaustion(self):
         stream = montecarlo.ThetaStream(ParameterSequenceModel.user_supplied([1.0, 2.0]),
-                                        np.random.default_rng(0))
-        assert stream.take(2).tolist() == [1.0, 2.0]
+                                        [np.random.default_rng(0)])
+        assert stream.take(2).tolist() == [[1.0, 2.0]]
         with pytest.raises(DataError):
             stream.take(1)
 
@@ -116,7 +116,7 @@ class TestThetaStream:
             ParameterSequenceModel.constant(0.0)
         with pytest.raises(UsageError):
             ParameterSequenceModel.user_supplied([])
-        stream = montecarlo.ThetaStream(ParameterSequenceModel.constant(1.0), np.random.default_rng(0))
+        stream = montecarlo.ThetaStream(ParameterSequenceModel.constant(1.0), [np.random.default_rng(0)])
         with pytest.raises(UsageError):
             stream.take(0)
 
@@ -607,7 +607,7 @@ class TestBatchedThetaStream:
         """Each row of a batched stream is the stream of its generator alone,
         whichever rows each call takes."""
         batched = montecarlo.ThetaStream(model, [replicate_stream(60, r) for r in range(5)])
-        single = [montecarlo.ThetaStream(model, replicate_stream(60, r)) for r in range(5)]
+        single = [montecarlo.ThetaStream(model, [replicate_stream(60, r)]) for r in range(5)]
         for count, subset in zip(counts, subsets):
             rows = np.flatnonzero(subset)
             if rows.size == 0:
@@ -615,7 +615,7 @@ class TestBatchedThetaStream:
             block = batched.take(count, rows)
             assert block.shape == (rows.size, count)
             for row, r in zip(block, rows):
-                assert row.tobytes() == single[r].take(count).tobytes()
+                assert row.tobytes() == single[r].take(count)[0].tobytes()
 
 
 HAZARD_FAMILIES = (exp_family(), families.proportional_reversed_hazard(Member.BETA))

@@ -56,10 +56,7 @@ class TestNullSimulation:
     def test_n2_median_closed_form(self):
         # the ratio of unit exponentials has cdf w/(1+w), so
         # P(T <= c) = 2 sqrt(c)/(4 - c) for c < 1 and the median is 12 - 8 sqrt(2)
-        rng = np.random.default_rng(1)
-        draws = np.array([stationarity.simulate_null_T(2, rng) for _ in range(2000)])
-        big = stationarity._null_T_block(2, 10**5, rng)
-        draws = np.concatenate([draws, big])
+        draws = stationarity._null_T_block(2, 2000 + 10**5, np.random.default_rng(1))
         median = np.median(draws)
         target = 12.0 - 8.0 * math.sqrt(2.0)
         dens = 0.51522  # null density at the median
@@ -83,7 +80,7 @@ class TestNullSimulation:
 
     def test_needs_two(self):
         with pytest.raises(UsageError):
-            stationarity.simulate_null_T(1, np.random.default_rng(0))
+            stationarity.critical_values([1], [0.05], 1000, 0)
 
 
 class TestQuantile:
