@@ -59,7 +59,7 @@ def _simulate(theta_model: montecarlo.ParameterSequenceModel, n: int, reps: int,
     if n < 1:
         raise UsageError("need n >= 1")
     if theta_model.scheme == montecarlo.Scheme.CONSTANT:
-        theta = float(theta_model.params["value"])
+        theta = theta_model.params["value"]
         levels, times = _record_chain(n, reps, rng)
         prev = theta * levels[:, n - 2] if n > 1 else 0.0
         return (theta * levels[:, n - 1], prev, np.log(times[:, n - 1] / theta),
@@ -71,13 +71,8 @@ def _simulate(theta_model: montecarlo.ParameterSequenceModel, n: int, reps: int,
         family=_exp_base_family(), theta_model=theta_model, n_target=n,
         replications=reps, master_seed=seed)
     draws = montecarlo.simulate_records(config)
+    montecarlo.check_truncation(draws)
     ok = draws.ok
-    if not np.all(ok):
-        frac = 1.0 - ok.mean()
-        if frac > montecarlo.MAX_TRUNCATION_FRACTION:
-            raise UsageError(
-                f"{frac:.1%} of replicates truncated; this scheme/n needs the "
-                f"constant-theta exact sampler or a larger observation cap")
     prev = draws.values[ok, n - 2] if n > 1 else 0.0
     return (draws.values[ok, n - 1], prev, np.log(draws.s_inv[ok, n - 1]),
             draws.thetas[ok, n - 1])

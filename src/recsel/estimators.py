@@ -124,13 +124,12 @@ def risk_umvue_gamma(u_prev, u_curr, p: float):
     return out if out.ndim else float(out)
 
 
-def risk_general_gamma(V, u_prev: float, u_curr: float, p: float,
-                       epsabs: float = QUAD_ABS_TOL, epsrel: float = QUAD_REL_TOL) -> float:
+def risk_general_gamma(V, u_prev: float, u_curr: float, p: float) -> float:
     """Unbiased risk estimate for an arbitrary estimator V(u, u_prev) of the
     selected parameter, integral evaluated by adaptive quadrature."""
     u_prev_a, u_curr_a = _check_gamma_pair(u_prev, u_curr, p)
     u_prev, u_curr = float(u_prev_a), float(u_curr_a)
-    integral = _quad(lambda t: t ** (p - 1.0) * V(t, u_prev), u_prev, u_curr, epsabs, epsrel)
+    integral = _quad(lambda t: t ** (p - 1.0) * V(t, u_prev), u_prev, u_curr)
     v = float(V(u_curr, u_prev))
     return v * v - 2.0 * integral / u_curr ** (p - 1.0) + float(
         _gamma_second_moment_term(u_prev_a, u_curr_a, p))
@@ -174,8 +173,7 @@ def risk_umvue_phr(h_prev, h_curr):
     return out if out.ndim else float(out)
 
 
-def risk_general_phr(V, u_prev: float, u_curr: float, family: families.FamilySpec,
-                     epsabs: float = QUAD_ABS_TOL, epsrel: float = QUAD_REL_TOL) -> float:
+def risk_general_phr(V, u_prev: float, u_curr: float, family: families.FamilySpec) -> float:
     """Unbiased risk estimate for an arbitrary estimator V(u, u_prev) built
     from raw-scale records of a hazard family.
 
@@ -194,22 +192,23 @@ def risk_general_phr(V, u_prev: float, u_curr: float, family: families.FamilySpe
     if families.has_closed_inverse(family):
         integral = _quad(
             lambda s: V(families.cumulative_hazard_inverse(family, s), u_prev),
-            h_prev, h_curr, epsabs, epsrel)
+            h_prev, h_curr)
     else:
         integral = _quad(
             lambda t: families.hazard(family, t) * V(t, u_prev),
-            u_prev, u_curr, epsabs, epsrel)
+            u_prev, u_curr)
     v = float(V(u_curr, u_prev))
     return v * v + (h_curr - h_prev) ** 2 / 2.0 - 2.0 * integral
 
 
-def _quad(fn, a: float, b: float, epsabs: float, epsrel: float) -> float:
+def _quad(fn, a: float, b: float) -> float:
     # imported on first use: no CLI subcommand reaches quadrature
     from scipy.integrate import quad
 
     if a == b:
         return 0.0
-    out = quad(fn, a, b, epsabs=epsabs, epsrel=epsrel, limit=QUAD_LIMIT, full_output=True)
+    out = quad(fn, a, b, epsabs=QUAD_ABS_TOL, epsrel=QUAD_REL_TOL, limit=QUAD_LIMIT,
+               full_output=True)
     value, abserr = out[0], out[1]
     if len(out) > 3:
         raise NumericError(

@@ -8,8 +8,9 @@ Two model classes are supported:
   known base cdf G, where H(X) = -log(1 - G(X)) (resp. -log G(X)) is
   exponential with mean theta.
 
-FamilySpec values are immutable and safe to share between threads; sampling
-takes an externally supplied generator.
+Each (kind, member) pair is one row of the catalog _ROWS.  FamilySpec values
+are immutable and safe to share between threads; sampling takes an
+externally supplied generator.
 """
 
 from __future__ import annotations
@@ -17,12 +18,13 @@ from __future__ import annotations
 import enum
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from types import MappingProxyType
+from typing import Callable
 
 import numpy as np
 
-from .errors import DomainError, UsageError
+from .errors import DomainError, UsageError, finite_number
 
 
 class Kind(str, enum.Enum):
@@ -44,58 +46,150 @@ class Member(str, enum.Enum):
     CUSTOM = "custom"
 
 
-_MODEL1_MEMBERS = {
-    Member.EXPONENTIAL,
-    Member.GAMMA,
-    Member.NORMAL_ZERO_MEAN,
-    Member.INVERSE_GAUSSIAN,
-    Member.WEIBULL_KNOWN_BETA,
-    Member.RAYLEIGH,
-}
-_MODEL2_MEMBERS = {
-    Member.EXPONENTIAL,
-    Member.RAYLEIGH,
-    Member.BETA,
-    Member.PARETO,
-    Member.BURR,
-    Member.CUSTOM,
-}
+@dataclass(frozen=True)
+class _Row:
+    """One catalog member of one kind.  t is its transform (S, H or R), dt
+    the derivative of t and inv the inverse of t (None for a tabulated
+    member); each takes the value and the member's parameters, inv also a
+    generator.  params names the member's parameters, positive numbers but
+    for the table's two arrays, and reals its other real ones; support maps
+    the parameters to the support."""
 
-# Shape parameter fixed by the member; GAMMA leaves p free.
-_FIXED_SHAPE = {
-    Member.EXPONENTIAL: 1.0,
-    Member.NORMAL_ZERO_MEAN: 0.5,
-    Member.INVERSE_GAUSSIAN: 0.5,
-    Member.WEIBULL_KNOWN_BETA: 1.0,
-    Member.RAYLEIGH: 1.0,
+    t: Callable
+    dt: Callable
+    inv: Callable | None
+    params: tuple[str, ...] = ()
+    reals: tuple[str, ...] = ()
+    support: Callable = lambda a: (0.0, math.inf)
+    shape: float | None = 1.0  # gamma-type: the shape p the member fixes, None when p is free
+    law: Callable | None = None  # gamma-type: (scipy.stats, theta, p, params) -> frozen law of X
+
+
+def _signed_root(y, a, rng):
+    """Zero-mean normal from S = x**2/2: a root of 2y with a fair random sign."""
+    signs = rng.integers(0, 2, size=np.shape(y)) * 2 - 1
+    return signs * np.sqrt(2.0 * y)
+
+
+def _table_slope(x, a):
+    xs = np.asarray(a["table_x"])
+    hs = np.asarray(a["table_h"])
+    idx = np.clip(np.searchsorted(xs, x, side="right") - 1, 0, xs.size - 2)
+    return (hs[idx + 1] - hs[idx]) / (xs[idx + 1] - xs[idx])
+
+
+def _check_table(kind: Kind, a: dict) -> dict:
+    try:
+        xs = np.asarray(a["table_x"], dtype=float)
+        hs = np.asarray(a["table_h"], dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise UsageError(f"custom table is not numeric: {exc}") from None
+    if xs.ndim != 1 or xs.shape != hs.shape or xs.size < 2:
+        raise UsageError("custom table needs matching 1-d arrays with >= 2 points")
+    if not (np.all(np.isfinite(xs)) and np.all(np.isfinite(hs))):
+        raise UsageError("custom table values must be finite")
+    if np.any(np.diff(xs) <= 0) or np.any(np.diff(hs) < 0):
+        raise UsageError("custom table must be strictly increasing in x, nondecreasing in h")
+    if kind == Kind.PROPORTIONAL_HAZARD and not math.isclose(hs[0], 0.0, abs_tol=1e-12):
+        raise UsageError("tabulated H must start at 0 on the support lower endpoint")
+    if kind == Kind.PROPORTIONAL_REVERSED_HAZARD and not math.isclose(hs[-1], 0.0, abs_tol=1e-12):
+        raise UsageError("tabulated R must end at 0 on the support upper endpoint")
+    return {"table_x": tuple(map(float, xs)), "table_h": tuple(map(float, hs))}
+
+
+# formulas exponential and Rayleigh members share across kinds
+_IDENTITY = _Row(lambda x, a: x, lambda x, a: np.ones_like(x), lambda u, a, rng: u)
+_HALF_SQUARE = _Row(lambda x, a: x * x / 2.0, lambda x, a: x, lambda u, a, rng: np.sqrt(2.0 * u))
+# a custom member given as a monotone table of (x, transform) pairs: evaluation
+# only, since the table does not determine the tail
+_TABLE = _Row(lambda x, a: np.interp(x, a["table_x"], a["table_h"]), _table_slope, None,
+              ("table_x", "table_h"), support=lambda a: (a["table_x"][0], a["table_x"][-1]))
+
+_ROWS = {
+    (Kind.GAMMA_TYPE, Member.EXPONENTIAL): replace(
+        _IDENTITY, law=lambda st, th, p, a: st.expon(scale=th)),
+    (Kind.GAMMA_TYPE, Member.GAMMA): replace(
+        _IDENTITY, shape=None, law=lambda st, th, p, a: st.gamma(p, scale=th)),
+    (Kind.GAMMA_TYPE, Member.NORMAL_ZERO_MEAN): replace(
+        _HALF_SQUARE, inv=_signed_root, support=lambda a: (-math.inf, math.inf), shape=0.5,
+        law=lambda st, th, p, a: st.norm(scale=math.sqrt(th))),
+    # mean-infinity limit: the one-sided stable law with S(x) = 1/(2x)
+    (Kind.GAMMA_TYPE, Member.INVERSE_GAUSSIAN): _Row(
+        lambda x, a: 1.0 / (2.0 * x), lambda x, a: -0.5 / (x * x), lambda u, a, rng: 1.0 / (2.0 * u),
+        shape=0.5, law=lambda st, th, p, a: st.levy(scale=1.0 / th)),
+    (Kind.GAMMA_TYPE, Member.WEIBULL_KNOWN_BETA): _Row(
+        lambda x, a: x ** a["beta"], lambda x, a: a["beta"] * x ** (a["beta"] - 1.0),
+        lambda u, a, rng: u ** (1.0 / a["beta"]), ("beta",),
+        law=lambda st, th, p, a: st.weibull_min(a["beta"], scale=th ** (1.0 / a["beta"]))),
+    (Kind.GAMMA_TYPE, Member.RAYLEIGH): replace(
+        _HALF_SQUARE, law=lambda st, th, p, a: st.rayleigh(scale=math.sqrt(th))),
+    (Kind.PROPORTIONAL_HAZARD, Member.EXPONENTIAL): _IDENTITY,
+    (Kind.PROPORTIONAL_HAZARD, Member.RAYLEIGH): _HALF_SQUARE,
+    (Kind.PROPORTIONAL_HAZARD, Member.PARETO): _Row(
+        lambda x, a: np.log(x / a["beta"]), lambda x, a: 1.0 / x,
+        lambda u, a, rng: a["beta"] * np.exp(u), ("beta",), support=lambda a: (a["beta"], math.inf)),
+    (Kind.PROPORTIONAL_HAZARD, Member.BURR): _Row(
+        lambda x, a: np.log1p(x ** a["alpha"]),
+        lambda x, a: a["alpha"] * x ** (a["alpha"] - 1.0) / (1.0 + x ** a["alpha"]),
+        lambda u, a, rng: np.expm1(u) ** (1.0 / a["alpha"]), ("alpha",)),
+    # parametric custom transform H(x) = ((x - shift)**power)/scale
+    (Kind.PROPORTIONAL_HAZARD, Member.CUSTOM): _Row(
+        lambda x, a: (x - a["shift"]) ** a["power"] / a["scale"],
+        lambda x, a: a["power"] * (x - a["shift"]) ** (a["power"] - 1.0) / a["scale"],
+        lambda u, a, rng: a["shift"] + (a["scale"] * u) ** (1.0 / a["power"]),
+        ("power", "scale"), ("shift",), support=lambda a: (a["shift"], math.inf)),
+    (Kind.PROPORTIONAL_REVERSED_HAZARD, Member.BETA): _Row(
+        lambda x, a: np.log(x), lambda x, a: 1.0 / x, lambda u, a, rng: np.exp(u),
+        support=lambda a: (0.0, 1.0)),
+    (Kind.PROPORTIONAL_REVERSED_HAZARD, Member.CUSTOM): _TABLE,
 }
 
 
 @dataclass(frozen=True)
 class FamilySpec:
-    """One family instance: a model kind, a catalog member and its constants."""
+    """One family instance: a model kind, a catalog member and its constants.
+    Construction checks the constants against the member's catalog row and
+    sets the support from them."""
 
     kind: Kind
     member: Member
     shape_p: float | None = None
     member_params: MappingProxyType = field(default_factory=lambda: MappingProxyType({}))
-    support: tuple[float, float] = (-math.inf, math.inf)
+    support: tuple[float, float] = field(init=False)
+    row: _Row = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.kind == Kind.GAMMA_TYPE:
-            if self.member not in _MODEL1_MEMBERS:
-                raise UsageError(f"{self.member.value} is not a gamma-type member")
-            if self.shape_p is None or self.shape_p <= 0:
-                raise UsageError("gamma-type families need shape_p > 0")
+        kind, member, a = Kind(self.kind), Member(self.member), dict(self.member_params)
+        row = _ROWS.get((kind, member))
+        if row is None:
+            raise UsageError(f"{member.value} is not a {kind.value} member")
+        if kind == Kind.PROPORTIONAL_HAZARD and member == Member.CUSTOM and "table_x" in a:
+            row = _TABLE
+        names = {*row.params, *row.reals}
+        if a.keys() != names:
+            raise UsageError(f"{member.value} takes parameters {sorted(names)}, got {sorted(a)}")
+        if row is _TABLE:
+            a = _check_table(kind, a)
         else:
-            if self.member not in _MODEL2_MEMBERS:
-                raise UsageError(f"{self.member.value} is not a hazard-family member")
-
-    def param(self, name: str):
-        try:
-            return self.member_params[name]
-        except KeyError:
-            raise UsageError(f"family {self.member.value} is missing parameter {name!r}") from None
+            a = {name: finite_number(name, value) for name, value in a.items()}
+            for name in row.params:
+                if a[name] <= 0:
+                    raise UsageError(f"{member.value} member needs {name} > 0")
+        p = self.shape_p
+        if kind != Kind.GAMMA_TYPE:
+            if p is not None:
+                raise UsageError("only gamma-type families take a shape p")
+        elif p is None and row.shape is None:
+            raise UsageError("gamma member needs an explicit shape p")
+        else:
+            p = row.shape if p is None else finite_number("p", p)
+            if p <= 0:
+                raise UsageError("gamma-type families need shape_p > 0")
+            if row.shape is not None and not math.isclose(p, row.shape):
+                raise UsageError(f"{member.value} fixes p = {row.shape}")
+        for name, value in (("kind", kind), ("member", member), ("shape_p", p), ("row", row),
+                            ("member_params", MappingProxyType(a)), ("support", row.support(a))):
+            object.__setattr__(self, name, value)
 
 
 # ---------------------------------------------------------------------------
@@ -105,108 +199,24 @@ class FamilySpec:
 def gamma_type(member: Member | str, p: float | None = None, **params) -> FamilySpec:
     """Build a gamma-type family (catalog items: exponential, gamma, zero-mean
     normal, inverse Gaussian, Weibull with known beta, Rayleigh)."""
-    member = Member(member)
-    if member in _FIXED_SHAPE:
-        fixed = _FIXED_SHAPE[member]
-        if p is not None and not math.isclose(p, fixed):
-            raise UsageError(f"{member.value} fixes p = {fixed}")
-        p = fixed
-    elif member == Member.GAMMA:
-        if p is None:
-            raise UsageError("gamma member needs an explicit shape p")
-    if member == Member.WEIBULL_KNOWN_BETA:
-        beta = float(params.pop("beta", 0.0))
-        if beta <= 0:
-            raise UsageError("weibull member needs beta > 0")
-        params["beta"] = beta
-    if params and member != Member.WEIBULL_KNOWN_BETA:
-        raise UsageError(f"unexpected parameters for {member.value}: {sorted(params)}")
-    support = (-math.inf, math.inf) if member == Member.NORMAL_ZERO_MEAN else (0.0, math.inf)
-    return FamilySpec(Kind.GAMMA_TYPE, member, float(p), MappingProxyType(dict(params)), support)
+    return FamilySpec(Kind.GAMMA_TYPE, member, p, params)
 
 
 def proportional_hazard(member: Member | str, **params) -> FamilySpec:
-    """Build a proportional hazard family, survival (1 - G(x))**(1/theta)."""
-    return _hazard_family(Kind.PROPORTIONAL_HAZARD, Member(member), params)
+    """Build a proportional hazard family, survival (1 - G(x))**(1/theta).
+    The custom member takes either shift/power/scale, for H(x) =
+    ((x - shift)**power)/scale, or a monotone table table_x/table_h."""
+    return FamilySpec(Kind.PROPORTIONAL_HAZARD, member, None, params)
 
 
 def proportional_reversed_hazard(member: Member | str, **params) -> FamilySpec:
-    """Build a proportional reversed hazard family, cdf G(x)**(1/theta)."""
-    return _hazard_family(Kind.PROPORTIONAL_REVERSED_HAZARD, Member(member), params)
-
-
-def _hazard_family(kind: Kind, member: Member, params: dict) -> FamilySpec:
-    params = dict(params)
-    if member == Member.PARETO:
-        if kind != Kind.PROPORTIONAL_HAZARD:
-            raise UsageError("pareto is a proportional-hazard member")
-        beta = float(params.pop("beta", 0.0))
-        if beta <= 0:
-            raise UsageError("pareto member needs beta > 0")
-        support = (beta, math.inf)
-        params = {"beta": beta}
-    elif member == Member.BURR:
-        if kind != Kind.PROPORTIONAL_HAZARD:
-            raise UsageError("burr is a proportional-hazard member")
-        alpha = float(params.pop("alpha", 0.0))
-        if alpha <= 0:
-            raise UsageError("burr member needs alpha > 0")
-        support = (0.0, math.inf)
-        params = {"alpha": alpha}
-    elif member == Member.BETA:
-        if kind != Kind.PROPORTIONAL_REVERSED_HAZARD:
-            raise UsageError("beta is a reversed-hazard member")
-        support = (0.0, 1.0)
-        params = {}
-    elif member in (Member.EXPONENTIAL, Member.RAYLEIGH):
-        if kind != Kind.PROPORTIONAL_HAZARD:
-            raise UsageError(f"{member.value} is a proportional-hazard member")
-        support = (0.0, math.inf)
-        params = {}
-    elif member == Member.CUSTOM:
-        return _custom_family(kind, params)
-    else:
-        raise UsageError(f"{member.value} is not a hazard-family member")
-    if params.keys() - {"beta", "alpha"}:
-        raise UsageError(f"unexpected parameters: {sorted(params)}")
-    return FamilySpec(kind, member, None, MappingProxyType(params), support)
-
-
-def _custom_family(kind: Kind, params: dict) -> FamilySpec:
-    """Custom member given either a parametric transform ((x - shift)**power)/scale
-    or a monotone table of (x, transform) pairs.
-
-    Tabulated members support evaluation only (no sampling: the table does not
-    determine the tail).
-    """
-    if {"shift", "power", "scale"} <= params.keys():
-        shift = float(params["shift"])
-        power = float(params["power"])
-        scale = float(params["scale"])
-        if power <= 0 or scale <= 0:
-            raise UsageError("custom transform needs power > 0 and scale > 0")
-        if kind == Kind.PROPORTIONAL_REVERSED_HAZARD:
-            raise UsageError("parametric custom transform is defined for the hazard family")
-        out = {"shift": shift, "power": power, "scale": scale}
-        return FamilySpec(kind, Member.CUSTOM, None, MappingProxyType(out), (shift, math.inf))
-    if {"table_x", "table_h"} <= params.keys():
-        xs = np.asarray(params["table_x"], dtype=float)
-        hs = np.asarray(params["table_h"], dtype=float)
-        if xs.ndim != 1 or xs.shape != hs.shape or xs.size < 2:
-            raise UsageError("custom table needs matching 1-d arrays with >= 2 points")
-        if np.any(np.diff(xs) <= 0) or np.any(np.diff(hs) < 0):
-            raise UsageError("custom table must be strictly increasing in x, nondecreasing in h")
-        if kind == Kind.PROPORTIONAL_HAZARD and not math.isclose(hs[0], 0.0, abs_tol=1e-12):
-            raise UsageError("tabulated H must start at 0 on the support lower endpoint")
-        if kind == Kind.PROPORTIONAL_REVERSED_HAZARD and not math.isclose(hs[-1], 0.0, abs_tol=1e-12):
-            raise UsageError("tabulated R must end at 0 on the support upper endpoint")
-        out = {"table_x": tuple(map(float, xs)), "table_h": tuple(map(float, hs))}
-        return FamilySpec(kind, Member.CUSTOM, None, MappingProxyType(out), (float(xs[0]), float(xs[-1])))
-    raise UsageError("custom member needs either shift/power/scale or table_x/table_h")
+    """Build a proportional reversed hazard family, cdf G(x)**(1/theta).
+    The custom member takes a monotone table table_x/table_h of R."""
+    return FamilySpec(Kind.PROPORTIONAL_REVERSED_HAZARD, member, None, params)
 
 
 # ---------------------------------------------------------------------------
-# model-1 transform catalog
+# transforms
 
 
 def _check_support(family: FamilySpec, x):
@@ -217,166 +227,54 @@ def _check_support(family: FamilySpec, x):
     return x
 
 
+def _apply(family: FamilySpec, fn, x):
+    """fn, a function of the family's row, at x on the support; a division
+    by zero at a support endpoint gives its infinite limit quietly."""
+    x = _check_support(family, x)
+    with np.errstate(divide="ignore"):
+        out = fn(x, family.member_params)
+    return out if np.ndim(x) else float(out)
+
+
 def s_transform(family: FamilySpec, x):
     """Evaluate the gamma-type transform S at x (identity, x**2/2, 1/(2x), ...)."""
     if family.kind != Kind.GAMMA_TYPE:
         raise UsageError("s_transform applies to gamma-type families only")
-    x = _check_support(family, x)
-    m = family.member
-    if m in (Member.EXPONENTIAL, Member.GAMMA):
-        out = x
-    elif m in (Member.NORMAL_ZERO_MEAN, Member.RAYLEIGH):
-        out = x * x / 2.0
-    elif m == Member.INVERSE_GAUSSIAN:
-        with np.errstate(divide="ignore"):
-            out = 1.0 / (2.0 * x)
-    elif m == Member.WEIBULL_KNOWN_BETA:
-        out = x ** family.param("beta")
-    else:  # pragma: no cover - constructor prevents this
-        raise UsageError(f"no transform for {m.value}")
-    return out if np.ndim(x) else float(out)
-
-
-def _s_inverse(family: FamilySpec, y, rng: np.random.Generator | None):
-    """Map a Gamma(p, theta) draw back to the observation scale."""
-    m = family.member
-    if m in (Member.EXPONENTIAL, Member.GAMMA):
-        return y
-    if m == Member.RAYLEIGH:
-        return np.sqrt(2.0 * y)
-    if m == Member.NORMAL_ZERO_MEAN:
-        signs = rng.integers(0, 2, size=np.shape(y)) * 2 - 1
-        return signs * np.sqrt(2.0 * y)
-    if m == Member.INVERSE_GAUSSIAN:
-        return 1.0 / (2.0 * y)
-    if m == Member.WEIBULL_KNOWN_BETA:
-        return y ** (1.0 / family.param("beta"))
-    raise UsageError(f"no inverse transform for {m.value}")  # pragma: no cover
-
-
-# ---------------------------------------------------------------------------
-# model-2 transforms
+    return _apply(family, family.row.t, x)
 
 
 def cumulative_hazard(family: FamilySpec, x):
     """H(x) = -log(1 - G(x)) for the hazard family, R(x) = log G(x) for the
     reversed family.  Evaluation exactly at a support endpoint returns the
     limit (0) rather than raising."""
-    if family.kind == Kind.PROPORTIONAL_HAZARD:
-        return _eval_H(family, x)
-    if family.kind == Kind.PROPORTIONAL_REVERSED_HAZARD:
-        return _eval_R(family, x)
-    raise UsageError("cumulative_hazard applies to hazard families only")
-
-
-def _eval_H(family: FamilySpec, x):
-    x = _check_support(family, x)
-    m = family.member
-    if m == Member.EXPONENTIAL:
-        out = x
-    elif m == Member.RAYLEIGH:
-        out = x * x / 2.0
-    elif m == Member.PARETO:
-        out = np.log(x / family.param("beta"))
-    elif m == Member.BURR:
-        out = np.log1p(x ** family.param("alpha"))
-    elif m == Member.CUSTOM:
-        if "shift" in family.member_params:
-            out = (x - family.param("shift")) ** family.param("power") / family.param("scale")
-        else:
-            out = np.interp(x, family.param("table_x"), family.param("table_h"))
-    else:  # pragma: no cover
-        raise UsageError(f"no cumulative hazard for {m.value}")
-    return out if np.ndim(x) else float(out)
-
-
-def _eval_R(family: FamilySpec, x):
-    x = _check_support(family, x)
-    m = family.member
-    if m == Member.BETA:
-        with np.errstate(divide="ignore"):
-            out = np.log(x)
-    elif m == Member.CUSTOM:
-        out = np.interp(x, family.param("table_x"), family.param("table_h"))
-    else:  # pragma: no cover
-        raise UsageError(f"no reversed hazard for {m.value}")
-    return out if np.ndim(x) else float(out)
+    if family.kind == Kind.GAMMA_TYPE:
+        raise UsageError("cumulative_hazard applies to hazard families only")
+    return _apply(family, family.row.t, x)
 
 
 def hazard(family: FamilySpec, x):
-    """Derivative of cumulative_hazard: the hazard rate g/(1-G), or the
-    reversed hazard rate g/G for the reversed family."""
-    x = _check_support(family, x)
-    m = family.member
-    if family.kind == Kind.PROPORTIONAL_HAZARD:
-        if m == Member.EXPONENTIAL:
-            out = np.ones_like(x)
-        elif m == Member.RAYLEIGH:
-            out = x
-        elif m == Member.PARETO:
-            out = 1.0 / x
-        elif m == Member.BURR:
-            a = family.param("alpha")
-            out = a * x ** (a - 1.0) / (1.0 + x**a)
-        elif m == Member.CUSTOM and "shift" in family.member_params:
-            q = family.param("power")
-            out = q * (x - family.param("shift")) ** (q - 1.0) / family.param("scale")
-        elif m == Member.CUSTOM:
-            out = _table_slope(family, x)
-        else:  # pragma: no cover
-            raise UsageError(f"no hazard for {m.value}")
-    elif family.kind == Kind.PROPORTIONAL_REVERSED_HAZARD:
-        if m == Member.BETA:
-            with np.errstate(divide="ignore"):
-                out = 1.0 / x
-        elif m == Member.CUSTOM:
-            out = _table_slope(family, x)
-        else:  # pragma: no cover
-            raise UsageError(f"no reversed hazard for {m.value}")
-    else:
-        raise UsageError("hazard applies to hazard families only")
-    return out if np.ndim(x) else float(out)
-
-
-def _table_slope(family: FamilySpec, x):
-    xs = np.asarray(family.param("table_x"))
-    hs = np.asarray(family.param("table_h"))
-    idx = np.clip(np.searchsorted(xs, x, side="right") - 1, 0, xs.size - 2)
-    return (hs[idx + 1] - hs[idx]) / (xs[idx + 1] - xs[idx])
+    """Derivative of the family's transform: the hazard rate g/(1-G), the
+    reversed hazard rate g/G for the reversed family, or S' for a
+    gamma-type family."""
+    return _apply(family, family.row.dt, x)
 
 
 def has_closed_inverse(family: FamilySpec) -> bool:
-    return family.member != Member.CUSTOM or "shift" in family.member_params
+    return family.row.inv is not None
 
 
 def cumulative_hazard_inverse(family: FamilySpec, u):
     """Inverse of cumulative_hazard on the support (closed-form members only)."""
     u = np.asarray(u, dtype=float)
-    m = family.member
-    if family.kind == Kind.PROPORTIONAL_HAZARD:
-        if np.any(u < 0):
-            raise DomainError("cumulative hazard values are nonnegative")
-        if m == Member.EXPONENTIAL:
-            out = u
-        elif m == Member.RAYLEIGH:
-            out = np.sqrt(2.0 * u)
-        elif m == Member.PARETO:
-            out = family.param("beta") * np.exp(u)
-        elif m == Member.BURR:
-            out = np.expm1(u) ** (1.0 / family.param("alpha"))
-        elif m == Member.CUSTOM and "shift" in family.member_params:
-            out = family.param("shift") + (family.param("scale") * u) ** (1.0 / family.param("power"))
-        else:
-            raise UsageError("tabulated custom transform has no closed-form inverse")
-    elif family.kind == Kind.PROPORTIONAL_REVERSED_HAZARD:
-        if np.any(u > 0):
-            raise DomainError("reversed cumulative hazard values are nonpositive")
-        if m == Member.BETA:
-            out = np.exp(u)
-        else:
-            raise UsageError("tabulated custom transform has no closed-form inverse")
-    else:
+    if family.kind == Kind.GAMMA_TYPE:
         raise UsageError("cumulative_hazard_inverse applies to hazard families only")
+    if family.kind == Kind.PROPORTIONAL_HAZARD and np.any(u < 0):
+        raise DomainError("cumulative hazard values are nonnegative")
+    if family.kind == Kind.PROPORTIONAL_REVERSED_HAZARD and np.any(u > 0):
+        raise DomainError("reversed cumulative hazard values are nonpositive")
+    if not has_closed_inverse(family):
+        raise UsageError("tabulated custom transform has no closed-form inverse")
+    out = family.row.inv(u, family.member_params, None)
     return out if u.ndim else float(out)
 
 
@@ -419,7 +317,7 @@ def sample(family: FamilySpec, theta: float, rng: np.random.Generator, size=None
     theta = _check_theta(theta)
     if family.kind == Kind.GAMMA_TYPE:
         y = rng.standard_gamma(family.shape_p, size=size) * theta
-        out = _s_inverse(family, y, rng)
+        out = family.row.inv(y, family.member_params, rng)
     else:
         if not has_closed_inverse(family):
             raise UsageError("tabulated custom members do not support sampling")
@@ -440,11 +338,11 @@ def cdf(family: FamilySpec, theta: float, x):
     lo, hi = family.support
     inside = np.clip(x, lo, hi)
     if family.kind == Kind.GAMMA_TYPE:
-        out = _m1_dist(family, theta).cdf(inside)
+        out = _law(family, theta).cdf(inside)
     elif family.kind == Kind.PROPORTIONAL_HAZARD:
-        out = -np.expm1(-_eval_H(family, inside) / theta)
+        out = -np.expm1(-canonical_transform(family, inside) / theta)
     else:
-        out = np.exp(_eval_R(family, inside) / theta)
+        out = np.exp(-canonical_transform(family, inside) / theta)
     out = np.where(x < lo, 0.0, np.where(x > hi, 1.0, out))
     return out if x.ndim else float(out)
 
@@ -457,38 +355,21 @@ def pdf(family: FamilySpec, theta: float, x):
     outside = (x < lo) | (x > hi)
     inside = np.clip(x, lo, hi)
     if family.kind == Kind.GAMMA_TYPE:
-        out = _m1_dist(family, theta).pdf(inside)
-    elif family.kind == Kind.PROPORTIONAL_HAZARD:
-        out = hazard(family, inside) / theta * np.exp(-_eval_H(family, inside) / theta)
+        out = _law(family, theta).pdf(inside)
     else:
-        out = hazard(family, inside) / theta * np.exp(_eval_R(family, inside) / theta)
+        out = hazard(family, inside) / theta * np.exp(-canonical_transform(family, inside) / theta)
     out = np.where(outside, 0.0, out)
     return out if x.ndim else float(out)
 
 
-def _m1_dist(family: FamilySpec, theta: float):
-    """Frozen scipy distribution matching the gamma-type member.
+def _law(family: FamilySpec, theta: float):
+    """Frozen scipy distribution of a gamma-type member, from its row.
 
     scipy.stats is imported here, its only use, so that importing the
     package (and every CLI subcommand) does not pay for it."""
     from scipy import stats
 
-    m = family.member
-    if m == Member.EXPONENTIAL:
-        return stats.expon(scale=theta)
-    if m == Member.GAMMA:
-        return stats.gamma(family.shape_p, scale=theta)
-    if m == Member.NORMAL_ZERO_MEAN:
-        return stats.norm(scale=math.sqrt(theta))
-    if m == Member.INVERSE_GAUSSIAN:
-        # mean-infinity limit: the one-sided stable law with S(x) = 1/(2x)
-        return stats.levy(scale=1.0 / theta)
-    if m == Member.WEIBULL_KNOWN_BETA:
-        beta = family.param("beta")
-        return stats.weibull_min(beta, scale=theta ** (1.0 / beta))
-    if m == Member.RAYLEIGH:
-        return stats.rayleigh(scale=math.sqrt(theta))
-    raise UsageError(f"no distribution for {m.value}")  # pragma: no cover
+    return family.row.law(stats, theta, family.shape_p, family.member_params)
 
 
 # ---------------------------------------------------------------------------
@@ -511,15 +392,10 @@ def from_json_dict(doc: dict) -> FamilySpec:
     """A family from its JSON document; a malformed one is a usage error."""
     try:
         kind = Kind(doc["kind"])
-        member = Member(doc["member"])
         params = dict(doc.get("params", {}))
         if "custom_H" in params:
             params.update(params.pop("custom_H"))
-        if kind == Kind.GAMMA_TYPE:
-            return gamma_type(member, p=doc.get("p"), **params)
-        if kind == Kind.PROPORTIONAL_HAZARD:
-            return proportional_hazard(member, **params)
-        return proportional_reversed_hazard(member, **params)
+        return FamilySpec(kind, doc["member"], doc.get("p"), params)
     except (KeyError, TypeError, ValueError) as exc:
         raise UsageError(f"bad family document: {exc}") from exc
 

@@ -18,7 +18,7 @@ from types import MappingProxyType
 import numpy as np
 
 from . import estimators, families
-from .errors import DataError, NumericError, UsageError
+from .errors import DataError, NumericError, UsageError, finite_number
 from .records import record_mask
 from .streams import replicate_stream
 
@@ -39,27 +39,72 @@ class Scheme(str, enum.Enum):
     USER_SUPPLIED = "user_supplied"
 
 
+def _positive(name, value):
+    value = finite_number(name, value)
+    if value <= 0:
+        raise UsageError(f"{name} must be > 0, got {value!r}")
+    return value
+
+
+def _nonnegative(name, value):
+    value = finite_number(name, value)
+    if value < 0:
+        raise UsageError(f"{name} must be >= 0, got {value!r}")
+    return value
+
+
+def _flag(name, value):
+    if not isinstance(value, bool):
+        raise UsageError(f"{name} must be true or false, got {value!r}")
+    return value
+
+
+def _positive_list(name, value):
+    try:
+        value = tuple(value)
+    except TypeError:
+        raise UsageError(f"{name} must be a list of numbers, got {value!r}") from None
+    if not value:
+        raise UsageError(f"{name} must not be empty")
+    return tuple(_positive(name, t) for t in value)
+
+
+# Each scheme's parameters: name -> (default, or None when required; check)
+_SCHEME_PARAMS = {
+    Scheme.AR_POSITIVE_ERROR: {},
+    Scheme.STOCHASTIC_GEOMETRIC: {"redraw_per_index": (True, _flag)},
+    Scheme.WHITE_NOISE: {"mean": (10.0, _positive), "sd": (1.0, _nonnegative)},
+    Scheme.CONSTANT: {"value": (None, _positive)},
+    Scheme.USER_SUPPLIED: {"thetas": (None, _positive_list)},
+}
+
+
 @dataclass(frozen=True)
 class ParameterSequenceModel:
-    """Generator description for the positive parameter sequence theta_i."""
+    """Generator description for the positive parameter sequence theta_i.
+    Construction fills in the scheme's defaults (_SCHEME_PARAMS) and checks
+    every parameter's type and range."""
 
     scheme: Scheme
     params: MappingProxyType = field(default_factory=lambda: MappingProxyType({}))
 
     def __post_init__(self):
-        object.__setattr__(self, "scheme", Scheme(self.scheme))
-        object.__setattr__(self, "params", MappingProxyType(dict(self.params)))
-        if self.scheme == Scheme.CONSTANT:
-            if float(self.params.get("value", 0.0)) <= 0:
-                raise UsageError("constant scheme needs value > 0")
-        elif self.scheme == Scheme.USER_SUPPLIED:
-            thetas = np.asarray(self.params.get("thetas", ()), dtype=float)
-            if thetas.size == 0 or np.any(thetas <= 0):
-                raise UsageError("user-supplied scheme needs a nonempty positive theta list")
+        scheme = Scheme(self.scheme)
+        table = _SCHEME_PARAMS[scheme]
+        unknown = self.params.keys() - table.keys()
+        if unknown:
+            raise UsageError(f"unexpected parameters for {scheme.value}: {sorted(unknown)}")
+        params = {}
+        for name, (default, check) in table.items():
+            if name not in self.params and default is None:
+                raise UsageError(f"{scheme.value} scheme needs parameter {name!r}")
+            params[name] = check(name, self.params.get(name, default))
+        object.__setattr__(self, "scheme", scheme)
+        object.__setattr__(self, "params", MappingProxyType(params))
 
     @staticmethod
     def constant(value: float) -> "ParameterSequenceModel":
-        return ParameterSequenceModel(Scheme.CONSTANT, MappingProxyType({"value": float(value)}))
+        return ParameterSequenceModel(Scheme.CONSTANT, {"value": value})
 
     @staticmethod
     def ar_positive_error() -> "ParameterSequenceModel":
@@ -67,18 +112,15 @@ class ParameterSequenceModel:
 
     @staticmethod
     def stochastic_geometric(redraw_per_index: bool = True) -> "ParameterSequenceModel":
-        return ParameterSequenceModel(
-            Scheme.STOCHASTIC_GEOMETRIC, MappingProxyType({"redraw_per_index": bool(redraw_per_index)}))
+        return ParameterSequenceModel(Scheme.STOCHASTIC_GEOMETRIC, {"redraw_per_index": redraw_per_index})
 
     @staticmethod
     def white_noise(mean: float = 10.0, sd: float = 1.0) -> "ParameterSequenceModel":
-        return ParameterSequenceModel(
-            Scheme.WHITE_NOISE, MappingProxyType({"mean": float(mean), "sd": float(sd)}))
+        return ParameterSequenceModel(Scheme.WHITE_NOISE, {"mean": mean, "sd": sd})
 
     @staticmethod
     def user_supplied(thetas) -> "ParameterSequenceModel":
-        return ParameterSequenceModel(
-            Scheme.USER_SUPPLIED, MappingProxyType({"thetas": tuple(float(t) for t in thetas)}))
+        return ParameterSequenceModel(Scheme.USER_SUPPLIED, {"thetas": thetas})
 
     def to_json_dict(self) -> dict:
         return {"scheme": self.scheme.value, "params": dict(self.params)}
@@ -87,11 +129,7 @@ class ParameterSequenceModel:
     def from_json_dict(doc: dict) -> "ParameterSequenceModel":
         """A theta model from its JSON document; a malformed one is a usage error."""
         try:
-            scheme = Scheme(doc["scheme"])
-            params = dict(doc.get("params", {}))
-            if scheme == Scheme.USER_SUPPLIED:
-                params["thetas"] = tuple(float(t) for t in params.get("thetas", ()))
-            return ParameterSequenceModel(scheme, MappingProxyType(params))
+            return ParameterSequenceModel(Scheme(doc["scheme"]), dict(doc.get("params", {})))
         except (KeyError, TypeError, ValueError) as exc:
             raise UsageError(f"bad theta model document: {exc}") from exc
 
@@ -141,7 +179,7 @@ class ThetaStream:
         # <= 0 redrawn; None when there were none
         self.departed: np.ndarray | None = None
         if model.scheme == Scheme.USER_SUPPLIED:
-            self._user = np.asarray(model.params["thetas"], dtype=float)
+            self._user = np.asarray(model.params["thetas"])
 
     def take(self, count: int, rows=None) -> np.ndarray:
         if count <= 0:
@@ -153,7 +191,7 @@ class ThetaStream:
         shape = (rows.size, count)
         self.departed = None
         if scheme == Scheme.CONSTANT:
-            out = np.full(shape, float(self.model.params["value"]))
+            out = np.full(shape, self.model.params["value"])
         elif scheme == Scheme.AR_POSITIVE_ERROR:
             z = np.empty(shape)
             eps = np.empty(shape)
@@ -166,7 +204,7 @@ class ThetaStream:
             self._ar_prev[rows] = out[:, -1]
         elif scheme == Scheme.STOCHASTIC_GEOMETRIC:
             idx = (i0[:, None] + np.arange(1, count + 1)).astype(float)
-            if self.model.params.get("redraw_per_index", True):
+            if self.model.params["redraw_per_index"]:
                 cd = np.empty((rows.size, 2, count))
                 for rng, cd_row in zip(rngs, cd):
                     rng.random(out=cd_row)  # c then d, as two calls would draw them
@@ -182,8 +220,7 @@ class ThetaStream:
             self._note(expo > 700.0)
             out = c * np.exp(np.minimum(expo, 700.0))
         elif scheme == Scheme.WHITE_NOISE:
-            mean = float(self.model.params.get("mean", 10.0))
-            sd = float(self.model.params.get("sd", 1.0))
+            mean, sd = self.model.params["mean"], self.model.params["sd"]
             out = np.empty(shape)
             for rng, row in zip(rngs, out):
                 rng.standard_normal(out=row)
@@ -195,14 +232,12 @@ class ThetaStream:
                 while np.any(row <= 0):
                     bad = row <= 0
                     row[bad] = mean + sd * rngs[j].standard_normal(int(bad.sum()))
-        elif scheme == Scheme.USER_SUPPLIED:
+        else:  # user-supplied
             need = int(i0.max()) + count
             if need > self._user.size:
                 raise DataError(
                     f"user-supplied theta list exhausted: need {need}, have {self._user.size}")
             out = self._user[i0[:, None] + np.arange(count)]
-        else:  # pragma: no cover
-            raise UsageError(f"unknown scheme {scheme}")
         self._index[rows] += count
         return out
 
@@ -337,7 +372,7 @@ def _record_chain_rows(config: SimulationConfig, start: int, stop: int, draws: S
     record_chain.  Equal in law to _simulate_rows, truncation included: a
     replicate whose n_target-th record comes after max_observations is
     truncated at that cap.  A constant theta never departs from the model."""
-    theta = float(config.theta_model.params["value"])
+    theta = config.theta_model.params["value"]
     e = np.empty((stop - start, 2 * config.n_target - 1))
     for rng, row in zip(_batch_streams(config, start, stop, pool), e):
         rng.standard_exponential(out=row)
@@ -562,30 +597,35 @@ class SimulationSummary:
 CSV_HEADER = ["scheme", "p", "n", "estimator", "bias", "risk", "se_bias", "se_risk"]
 
 
-def bias_risk_table(config: SimulationConfig, estimator_ids=None,
-                    threads: int = 1) -> SimulationSummary:
-    """Simulated bias and risk of the chosen estimators for n = 1..n_target.
-
-    A cell may be inf or NaN, as when clamped geometric thetas near e^700
-    square past float64; numpy's overflow warnings are silenced and the
-    counters report how many cells are not finite (non_finite_cells)."""
-    estimator_ids = tuple(estimator_ids or estimators.ESTIMATORS[config.family.kind])
-    draws = simulate_records(config, threads=threads)
-    ok = draws.ok
-    n_ok = int(ok.sum())
-    truncated = int(config.replications - n_ok)
-    frac = truncated / config.replications
+def check_truncation(draws: SimulationDraws) -> float:
+    """The fraction of truncated replicates, or a NumericError when it
+    exceeds MAX_TRUNCATION_FRACTION: summaries leave truncated replicates
+    out, which past that share would bias them without notice."""
+    frac = int(np.count_nonzero(draws.truncated)) / draws.truncated.size
     if frac > MAX_TRUNCATION_FRACTION:
         raise NumericError(
             f"truncation fraction {frac:.3%} exceeds {MAX_TRUNCATION_FRACTION:.0%}; "
             f"raise max_observations")
-    if n_ok == 0:
-        raise NumericError("every replicate truncated")
+    return frac
+
+
+def bias_risk_table(config: SimulationConfig, threads: int = 1) -> SimulationSummary:
+    """Simulated bias and risk of the family kind's estimators
+    (estimators.ESTIMATORS) for n = 1..n_target.
+
+    A cell may be inf or NaN, as when clamped geometric thetas near e^700
+    square past float64; numpy's overflow warnings are silenced and the
+    counters report how many cells are not finite (non_finite_cells)."""
+    draws = simulate_records(config, threads=threads)
+    frac = check_truncation(draws)
+    ok = draws.ok
+    n_ok = int(ok.sum())
+    truncated = int(config.replications - n_ok)
     vals = draws.values[ok]
     ths = draws.thetas[ok]
     p = config.family.shape_p
     cells = []
-    for est in estimator_ids:
+    for est in estimators.ESTIMATORS[config.family.kind]:
         for n in range(1, config.n_target + 1):
             prev = vals[:, n - 2] if n > 1 else np.zeros(n_ok)
             curr = vals[:, n - 1]
@@ -609,13 +649,15 @@ def bias_risk_table(config: SimulationConfig, estimator_ids=None,
 def spacing_survival_check(config: SimulationConfig, y_grid, threads: int = 1) -> float:
     """Sup deviation over y_grid between the empirical survival of the last
     canonical record spacing and the memoryless mixture implied by the
-    realized selected parameters."""
+    realized selected parameters.  Truncated replicates are left out, and
+    check_truncation bounds how many there may be."""
     if config.family.kind == families.Kind.GAMMA_TYPE:
         raise UsageError("the spacing identity holds for hazard families")
     if config.n_target < 1:
         raise UsageError("need n_target >= 1")
     y = np.asarray(y_grid, dtype=float)
     draws = simulate_records(config, threads=threads)
+    check_truncation(draws)
     ok = draws.ok
     curr = draws.values[ok, config.n_target - 1]
     prev = draws.values[ok, config.n_target - 2] if config.n_target > 1 else 0.0

@@ -264,6 +264,14 @@ BAD_FAMILIES = {
     "pareto beta": {"kind": "proportional_hazard", "member": "pareto", "params": {"beta": "b"}},
     "custom table": {"kind": "proportional_hazard", "member": "custom",
                      "params": {"table_x": [0.0, 1.0], "table_h": "ab"}},
+    "gamma p nan": {"kind": "gamma_type", "member": "gamma", "p": float("nan")},
+    "pareto beta nan": {"kind": "proportional_hazard", "member": "pareto",
+                        "params": {"beta": float("nan")}},
+    "hazard unknown param": {"kind": "proportional_hazard", "member": "exponential",
+                             "params": {"foo": 1}},
+    "weibull unknown param": {"kind": "gamma_type", "member": "weibull_known_beta",
+                              "params": {"beta": 2.0, "foo": 1}},
+    "hazard p": {"kind": "proportional_hazard", "member": "exponential", "p": 3.0},
 }
 
 
@@ -273,6 +281,15 @@ BAD_FAMILIES = {
     pytest.param(["simulate", "--config", dict(GOOD_CONFIG, family="gamma")], id="config family"),
     pytest.param(["simulate", "--config", dict(GOOD_CONFIG, theta_model={
         "scheme": "constant", "params": {"value": "a"}})], id="config constant value"),
+    pytest.param(["simulate", "--config", dict(GOOD_CONFIG, theta_model={
+        "scheme": "constant", "params": {"value": float("nan")}})], id="config constant value nan"),
+    pytest.param(["simulate", "--config", dict(GOOD_CONFIG, theta_model={
+        "scheme": "white_noise", "params": {"mean": "x"}})], id="config white noise mean"),
+    pytest.param(["simulate", "--config", dict(GOOD_CONFIG, theta_model={
+        "scheme": "stochastic_geometric", "params": {"redraw_per_index": "false"}})],
+        id="config geometric redraw string"),
+    pytest.param(["simulate", "--config", dict(GOOD_CONFIG, family=BAD_FAMILIES["gamma p nan"])],
+                 id="config gamma p nan"),
     *[pytest.param([command, "--input", "lacc-rainfall-records", "--family", json.dumps(family)],
                    id=f"{command} {name}")
       for command in ("test", "estimate") for name, family in BAD_FAMILIES.items()],

@@ -216,6 +216,10 @@ class TestSpecAndJson:
         with pytest.raises(UsageError):
             families.proportional_hazard(Member.PARETO, beta=-1.0)
 
+    def test_unknown_parameters(self):
+        with pytest.raises(UsageError):
+            families.proportional_hazard("exponential", foo=1)
+
     def test_roundtrip(self):
         for fam in all_model1() + all_model2():
             doc = families.to_json_dict(fam)

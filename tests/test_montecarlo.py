@@ -116,6 +116,8 @@ class TestThetaStream:
             ParameterSequenceModel.constant(0.0)
         with pytest.raises(UsageError):
             ParameterSequenceModel.user_supplied([])
+        with pytest.raises(UsageError):  # every draw would be redrawn forever
+            ParameterSequenceModel.white_noise(mean=-1.0, sd=0.0)
         stream = montecarlo.ThetaStream(ParameterSequenceModel.constant(1.0), [np.random.default_rng(0)])
         with pytest.raises(UsageError):
             stream.take(0)
@@ -286,6 +288,13 @@ class TestSpacingSurvival:
                                n_target=3, replications=10**5, master_seed=43)
         dev = montecarlo.spacing_survival_check(cfg, np.linspace(0.0, 10.0, 25), threads=4)
         assert dev < 0.015
+
+    def test_truncation_bound(self):
+        """Truncated replicates are not dropped beyond MAX_TRUNCATION_FRACTION."""
+        cfg = SimulationConfig(family=exp_family(), theta_model=ParameterSequenceModel.constant(1.0),
+                               n_target=6, replications=2000, master_seed=45, max_observations=60)
+        with pytest.raises(NumericError):
+            montecarlo.spacing_survival_check(cfg, [0.0, 1.0])
 
     def test_kind_guard(self):
         cfg = SimulationConfig(family=families.gamma_type(Member.EXPONENTIAL),
