@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, datasets, estimators, families, montecarlo, output, records, stationarity
-from .errors import DataError, NumericError, RecselError, UsageError
+from .errors import DataError, NumericError, RecselError, UsageError, whole_number
 from .output import fmt
 
 DEFAULT_SEED = 20260810
@@ -32,8 +32,8 @@ DEFAULT_ALPHAS = (0.01, 0.025, 0.05, 0.1)
 ESTIMATE_HEADER = ["n", "estimator_id", "estimate", "risk_estimate", "band_lo", "band_hi"]
 
 
-def _seed(text: str) -> int:
-    """argparse type of --seed: a non-negative integer."""
+def _non_negative_int(text: str) -> int:
+    """argparse type of --seed and --threads: a non-negative integer."""
     try:
         value = int(text)
     except ValueError:
@@ -54,11 +54,10 @@ def _sha256(path: Path) -> str:
 def _load_sequence(path: str, column: str | None = None) -> np.ndarray:
     """Read observations from a text file (one decimal per line, # comments
     ignored) or, with --column, from the named column of a CSV file."""
-    p = Path(path)
-    if not p.exists():
-        raise DataError(f"input file not found: {path}")
     try:
-        return _read_sequence(p, path, column)
+        return _read_sequence(Path(path), path, column)
+    except FileNotFoundError:
+        raise DataError(f"input file not found: {path}") from None
     except (OSError, UnicodeDecodeError) as exc:
         raise DataError(_unreadable("input", path, exc)) from None
 
@@ -116,6 +115,17 @@ def _unreadable(what: str, path, exc: OSError | UnicodeDecodeError) -> str:
     return f"cannot read {what} file {path}: {exc.strerror or exc}"
 
 
+def _read_text(what: str, path: str) -> str:
+    """The text of a family, config or table file; a path that is missing,
+    unreadable or not UTF-8 is a usage error."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except FileNotFoundError:
+        raise UsageError(f"{what} file not found: {path}") from None
+    except (OSError, UnicodeDecodeError) as exc:
+        raise UsageError(_unreadable(what, path, exc)) from None
+
+
 def _load_family(text: str) -> tuple[families.FamilySpec, Path | None]:
     """Accept inline JSON, a path to a JSON file, or the name of a bundled
     dataset family (currently 'lacc-rainfall-records')."""
@@ -124,27 +134,17 @@ def _load_family(text: str) -> tuple[families.FamilySpec, Path | None]:
         return datasets.rainfall_family(), None
     if text.startswith("{"):
         return families.from_json(text), None
-    p = Path(text)
-    if not p.exists():
-        raise UsageError(f"family file not found: {text}")
-    try:
-        doc = p.read_text(encoding="utf-8")
-    except (OSError, UnicodeDecodeError) as exc:
-        raise UsageError(_unreadable("family", text, exc)) from None
-    return families.from_json(doc), p
+    return families.from_json(_read_text("family", text)), Path(text)
 
 
 def _load_table(path: str) -> stationarity.CriticalValueTable:
-    """A critical value table file: an unreadable path is a usage error,
-    contents that do not parse as a table a data error."""
-    p = Path(path)
-    if not p.exists():
-        raise UsageError(f"table file not found: {path}")
+    """A critical value table file, JSON when its name ends in .json, else
+    CSV: an unreadable path is a usage error, contents that are not a valid
+    table a data error."""
+    text = _read_text("table", path)
     try:
-        return stationarity.CriticalValueTable.load(p)
-    except (OSError, UnicodeDecodeError) as exc:
-        raise UsageError(_unreadable("table", path, exc)) from None
-    except (DataError, ValueError, TypeError, KeyError) as exc:  # JSONDecodeError is a ValueError
+        return stationarity.CriticalValueTable.from_text(text, path.endswith(".json"))
+    except DataError as exc:
         raise DataError(f"table file {path}: {exc}") from None
 
 
@@ -198,6 +198,8 @@ def cmd_records(args) -> int:
         family, fam_path = _load_family(args.family)
         if family.kind != families.Kind.GAMMA_TYPE:
             raise UsageError("records --family expects a gamma-type family (transformed records)")
+        if args.direction != records.Direction.UPPER:
+            raise UsageError("records --family extracts upper records only, not --direction lower")
         rec = records.transformed_records(seq, family)
     else:
         fam_path = None
@@ -241,36 +243,22 @@ def cmd_estimate(args) -> int:
 
 
 def _load_simulation_config(path: str, seed_override: int | None) -> tuple[montecarlo.SimulationConfig, list[int], dict]:
-    p = Path(path)
-    if not p.exists():
-        raise UsageError(f"config file not found: {path}")
+    """The config of a simulate run, with --seed in place of its master_seed
+    when given, and the n rows its output keeps (n_values)."""
     try:
-        text = p.read_text(encoding="utf-8")
-    except (OSError, UnicodeDecodeError) as exc:
-        raise UsageError(_unreadable("config", path, exc)) from None
-    try:
-        doc = json.loads(text)
+        doc = json.loads(_read_text("config", path))
     except json.JSONDecodeError as exc:
         raise UsageError(f"config JSON does not parse: {exc}") from exc
     if not isinstance(doc, dict):
         raise UsageError("config must be a JSON object")
-    try:
-        family = families.from_json_dict(doc["family"])
-        theta_model = montecarlo.ParameterSequenceModel.from_json_dict(doc["theta_model"])
-        n_target = int(doc["n_target"])
-        replications = int(doc["replications"])
-        master_seed = seed_override if seed_override is not None else doc.get("master_seed", DEFAULT_SEED)
-        config = montecarlo.SimulationConfig(
-            family=family, theta_model=theta_model, n_target=n_target,
-            replications=replications, master_seed=master_seed,
-            max_observations=int(doc.get("max_observations", 10**7)))
-        n_values = [int(n) for n in doc.get("n_values", range(2, n_target + 1))] or [n_target]
-    except KeyError as exc:
-        raise UsageError(f"config is missing field {exc}") from exc
-    except (TypeError, ValueError) as exc:
-        raise UsageError(f"bad config: {exc}") from exc
-    if not all(1 <= n <= n_target for n in n_values):
-        raise UsageError(f"config n_values must lie in 1..n_target = {n_target}, got {n_values}")
+    seed = seed_override if seed_override is not None else doc.get("master_seed", DEFAULT_SEED)
+    config = montecarlo.SimulationConfig.from_json_dict(dict(doc, master_seed=seed))
+    n_values = doc.get("n_values", list(range(2, config.n_target + 1)))
+    if not isinstance(n_values, list):
+        raise UsageError(f"config n_values must be a list, got {n_values!r}")
+    n_values = [whole_number("config n_values entry", n) for n in n_values] or [config.n_target]
+    if not all(1 <= n <= config.n_target for n in n_values):
+        raise UsageError(f"config n_values must lie in 1..n_target = {config.n_target}, got {n_values}")
     return config, n_values, doc
 
 
@@ -442,10 +430,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_common(p, seeded=True):
         p.add_argument("--out", default="recsel-out", help="output directory")
-        p.add_argument("--threads", type=int, default=0,
+        p.add_argument("--threads", type=_non_negative_int, default=0,
                        help="worker threads for simulation engines (0 = auto)")
         if seeded:
-            p.add_argument("--seed", type=_seed, default=DEFAULT_SEED, help="master seed")
+            p.add_argument("--seed", type=_non_negative_int, default=DEFAULT_SEED, help="master seed")
 
     p = sub.add_parser("records", help="extract record values from a sequence file")
     p.add_argument("--input", required=True, help="sequence file or bundled dataset name")
@@ -467,9 +455,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="bias/risk table from a simulation config")
     p.add_argument("--config", required=True, help="simulation config JSON file")
-    p.add_argument("--seed", type=_seed, default=None, help="override the config master seed")
+    p.add_argument("--seed", type=_non_negative_int, default=None, help="override the config master seed")
     p.add_argument("--out", default="recsel-out")
-    p.add_argument("--threads", type=int, default=0)
+    p.add_argument("--threads", type=_non_negative_int, default=0)
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("critvals", help="simulate the critical value table")

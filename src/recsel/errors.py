@@ -28,6 +28,17 @@ class NumericError(RecselError):
     """A numerical routine failed to reach its accuracy target."""
 
 
+def whole_number(name: str, value, error: type[RecselError] = UsageError) -> int:
+    """value as an int when it is a whole number, an int or an integral
+    float such as 1e5 (a bool, a string, a fraction or an infinity is not
+    one), else `error` naming it."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise error(f"{name} must be a whole number, got {value!r}")
+    return int(value)
+
+
 def finite_number(name: str, value) -> float:
     """value as a float when it is a finite real number (a bool or a string
     is not one), else a usage error naming it."""

@@ -18,7 +18,7 @@ from types import MappingProxyType
 import numpy as np
 
 from . import estimators, families
-from .errors import DataError, NumericError, UsageError, finite_number
+from .errors import DataError, NumericError, UsageError, finite_number, whole_number
 from .records import record_mask
 from .streams import replicate_stream
 
@@ -79,6 +79,11 @@ _SCHEME_PARAMS = {
 }
 
 
+def _given(**params) -> dict:
+    """The parameters passed as other than None; _SCHEME_PARAMS has the rest."""
+    return {name: value for name, value in params.items() if value is not None}
+
+
 @dataclass(frozen=True)
 class ParameterSequenceModel:
     """Generator description for the positive parameter sequence theta_i.
@@ -111,12 +116,12 @@ class ParameterSequenceModel:
         return ParameterSequenceModel(Scheme.AR_POSITIVE_ERROR)
 
     @staticmethod
-    def stochastic_geometric(redraw_per_index: bool = True) -> "ParameterSequenceModel":
-        return ParameterSequenceModel(Scheme.STOCHASTIC_GEOMETRIC, {"redraw_per_index": redraw_per_index})
+    def stochastic_geometric(redraw_per_index: bool | None = None) -> "ParameterSequenceModel":
+        return ParameterSequenceModel(Scheme.STOCHASTIC_GEOMETRIC, _given(redraw_per_index=redraw_per_index))
 
     @staticmethod
-    def white_noise(mean: float = 10.0, sd: float = 1.0) -> "ParameterSequenceModel":
-        return ParameterSequenceModel(Scheme.WHITE_NOISE, {"mean": mean, "sd": sd})
+    def white_noise(mean: float | None = None, sd: float | None = None) -> "ParameterSequenceModel":
+        return ParameterSequenceModel(Scheme.WHITE_NOISE, _given(mean=mean, sd=sd))
 
     @staticmethod
     def user_supplied(thetas) -> "ParameterSequenceModel":
@@ -271,12 +276,24 @@ class SimulationConfig:
         if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
             raise UsageError(f"master_seed must be a non-negative integer, got {seed!r}")
         object.__setattr__(self, "master_seed", int(seed))
-        if self.n_target < 1:
-            raise UsageError("n_target must be >= 1")
-        if self.replications < 1:
-            raise UsageError("replications must be >= 1")
-        if self.max_observations < 1:
-            raise UsageError("max_observations must be >= 1")
+        for name in ("n_target", "replications", "max_observations"):
+            value = whole_number(name, getattr(self, name))
+            if value < 1:
+                raise UsageError(f"{name} must be >= 1, got {value}")
+            object.__setattr__(self, name, value)
+
+    @staticmethod
+    def from_json_dict(doc: dict) -> "SimulationConfig":
+        """A config from its JSON document; a malformed one is a usage error.
+        Fields other than the constructor's are ignored."""
+        try:
+            return SimulationConfig(
+                families.from_json_dict(doc["family"]),
+                ParameterSequenceModel.from_json_dict(doc["theta_model"]),
+                doc["n_target"], doc["replications"], doc["master_seed"],
+                doc.get("max_observations", SimulationConfig.max_observations))
+        except KeyError as exc:
+            raise UsageError(f"config is missing field {exc}") from exc
 
 
 @dataclass
@@ -564,19 +581,12 @@ class SimulationSummary:
     truncation_fraction: float
     counters: dict  # SimulationDraws.counters of the run, plus non_finite_cells
 
-    def cell(self, estimator: estimators.EstimatorId, n: int) -> SummaryCell:
-        for c in self.cells:
-            if c.estimator == estimator and c.n == n:
-                return c
-        raise UsageError(f"no cell for ({estimator}, n={n})")
-
-    def to_csv_rows(self, n_values=None) -> list[list]:
-        """Rows under CSV_HEADER, for the cells whose n is in n_values (all
-        by default)."""
+    def to_csv_rows(self, n_values) -> list[list]:
+        """Rows under CSV_HEADER, for the cells whose n is in n_values."""
         p = self.config.family.shape_p
         return [[self.config.theta_model.scheme.value, "" if p is None else p, c.n,
                  c.estimator.value, c.bias, c.risk, c.se_bias, c.se_risk]
-                for c in self.cells if n_values is None or c.n in n_values]
+                for c in self.cells if c.n in n_values]
 
     def to_json_dict(self) -> dict:
         return {
@@ -653,8 +663,6 @@ def spacing_survival_check(config: SimulationConfig, y_grid, threads: int = 1) -
     check_truncation bounds how many there may be."""
     if config.family.kind == families.Kind.GAMMA_TYPE:
         raise UsageError("the spacing identity holds for hazard families")
-    if config.n_target < 1:
-        raise UsageError("need n_target >= 1")
     y = np.asarray(y_grid, dtype=float)
     draws = simulate_records(config, threads=threads)
     check_truncation(draws)

@@ -117,7 +117,7 @@ def canonical_records(seq, family: families.FamilySpec) -> RecordSet:
 
 
 class RecordAccumulator:
-    """Incremental record scanner; accepts one observation or one block at a
+    """Incremental record scanner; accepts one block of observations at a
     time so callers never materialize full sequences."""
 
     def __init__(self, direction: Direction | str = Direction.UPPER):
@@ -126,19 +126,6 @@ class RecordAccumulator:
         self._times: list[int] = []
         self._count = 0
         self._extreme = -np.inf if self.direction == Direction.UPPER else np.inf
-
-    def push(self, x: float) -> bool:
-        """Feed one observation; True when it set a new record."""
-        x = float(x)
-        if not np.isfinite(x):
-            raise DataError("sequence contains non-finite values")
-        self._count += 1
-        better = x > self._extreme if self.direction == Direction.UPPER else x < self._extreme
-        if better:
-            self._extreme = x
-            self._values.append(x)
-            self._times.append(self._count)
-        return better
 
     def extend(self, block) -> int:
         """Feed a block of observations; returns how many records it added."""
@@ -149,16 +136,11 @@ class RecordAccumulator:
             raise DataError("sequence contains non-finite values")
         mask, extreme = record_mask(block, self._extreme, self.direction)
         idx = np.flatnonzero(mask)
-        for i in idx:
-            self._values.append(float(block[i]))
-            self._times.append(self._count + int(i) + 1)
+        self._values.extend(block[idx].tolist())
+        self._times.extend((self._count + idx + 1).tolist())
         self._count += block.size
         self._extreme = float(extreme)
         return int(idx.size)
-
-    @property
-    def record_count(self) -> int:
-        return len(self._values)
 
     def result(self) -> RecordSet:
         if not self._values:

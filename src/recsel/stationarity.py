@@ -8,16 +8,18 @@ exponential ratios and tabulated as quantiles t_n(alpha).
 
 from __future__ import annotations
 
+import csv
 import enum
 import json
 import math
+import numbers
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import output
-from .errors import DataError, DomainError, UsageError
+from .errors import DataError, DomainError, UsageError, whole_number
 from .streams import substream
 
 _ROW_STREAM_TAG = 7001  # stream namespace for per-row null simulation
@@ -48,20 +50,28 @@ def _null_T_block(n: int, count: int, rng: np.random.Generator) -> np.ndarray:
     return np.mean(jumps, axis=1)
 
 
-def upper_quantile(draws: np.ndarray, alpha: float) -> float:
-    """Type-1 (ceiling order statistic) empirical upper-alpha quantile;
-    interpolation is avoided because the right tail is heavy."""
-    _check_alpha(alpha)
-    return _sorted_quantile(np.sort(np.asarray(draws, dtype=float)), alpha)
-
-
-def _check_alpha(alpha: float) -> None:
-    if not 0.0 < alpha < 1.0:
-        raise UsageError("alpha must lie in (0, 1)")
+def _check_axes(n_values, alphas, error) -> tuple[tuple[int, ...], tuple[float, ...]]:
+    """The rows and columns of a table as tuples: row labels n are distinct
+    whole numbers >= 2, alphas ascend in (0, 1); anything else is `error`."""
+    n_values = tuple(whole_number("table row n", n, error) for n in n_values)
+    if not n_values or not alphas:
+        raise error("need at least one n row and one alpha column")
+    if min(n_values) < 2:
+        raise error("rows need n >= 2")
+    if len(set(n_values)) != len(n_values):
+        raise error("duplicate n rows")
+    for a in alphas:
+        if isinstance(a, bool) or not isinstance(a, numbers.Real) or not 0.0 < a < 1.0:
+            raise error(f"alpha must lie in (0, 1), got {a!r}")
+    if any(b <= a for a, b in zip(alphas, alphas[1:])):
+        raise error("alpha columns must ascend")
+    return n_values, tuple(float(a) for a in alphas)
 
 
 def _sorted_quantile(draws: np.ndarray, alpha: float) -> float:
-    """upper_quantile of draws already sorted ascending."""
+    """Type-1 (ceiling order statistic) empirical upper-alpha quantile of
+    draws sorted ascending; interpolation is avoided because the right tail
+    is heavy."""
     m = draws.size
     # tolerance guards m*(1-alpha) landing epsilon above an integer
     k = int(math.ceil(m * (1.0 - alpha) - 1e-9))
@@ -80,19 +90,24 @@ class CriticalValueTable:
     master_seed: int
 
     def __post_init__(self):
-        q = np.asarray(self.quantiles, dtype=float)
-        object.__setattr__(self, "quantiles", q)
-        object.__setattr__(self, "n_values", tuple(int(n) for n in self.n_values))
-        object.__setattr__(self, "alphas", tuple(float(a) for a in self.alphas))
-        if q.shape != (len(self.n_values), len(self.alphas)):
+        """Every invariant of a table, each broken one a data error."""
+        n_values, alphas = _check_axes(self.n_values, self.alphas, DataError)
+        try:
+            q = np.asarray(self.quantiles, dtype=float)
+        except (TypeError, ValueError):
+            raise DataError("quantiles must be a matrix of numbers") from None
+        if q.shape != (len(n_values), len(alphas)):
             raise DataError("quantile matrix shape mismatch")
-        if np.any(q <= 0):
-            raise DataError("critical values must be positive")
-        if list(self.alphas) != sorted(self.alphas):
-            raise DataError("alpha columns must be ascending")
-        if len(self.alphas) > 1 and np.any(np.diff(q, axis=1) >= 0):
+        if not np.all(np.isfinite(q) & (q > 0)):
+            raise DataError("critical values must be finite and > 0")
+        if np.any(np.diff(q, axis=1) >= 0):
             # within a row t_n(alpha) falls as alpha grows
             raise DataError("critical values must decrease in alpha within each row")
+        for name in ("replications", "master_seed"):
+            object.__setattr__(self, name, whole_number(name, getattr(self, name), DataError))
+        object.__setattr__(self, "n_values", n_values)
+        object.__setattr__(self, "alphas", alphas)
+        object.__setattr__(self, "quantiles", q)
 
     def cell(self, n: int, alpha: float) -> float:
         try:
@@ -119,52 +134,30 @@ class CriticalValueTable:
         })
 
     @staticmethod
-    def from_csv(path) -> "CriticalValueTable":
-        replications = 0
-        master_seed = 0
-        rows = []
-        alphas = None
-        with open(path, encoding="utf-8") as fh:
-            for raw in fh:
-                line = raw.strip()
-                if not line:
-                    continue
-                if line.startswith("#"):
-                    body = line[1:].strip()
-                    if body.startswith("replications="):
-                        replications = int(body.split("=", 1)[1])
-                    elif body.startswith("master_seed="):
-                        master_seed = int(body.split("=", 1)[1])
-                    continue
-                cells = [c.strip() for c in line.split(",")]
-                if alphas is None:
-                    if cells[0] != "n":
-                        raise DataError("critical value table must start with an 'n' header row")
-                    alphas = [float(a) for a in cells[1:]]
-                else:
-                    rows.append((int(cells[0]), [float(c) for c in cells[1:]]))
-        if alphas is None or not rows:
-            raise DataError("critical value table is empty")
-        n_values = tuple(r[0] for r in rows)
-        quantiles = np.array([r[1] for r in rows])
-        return CriticalValueTable(n_values, tuple(alphas), quantiles, replications, master_seed)
-
-    @staticmethod
-    def from_json(path) -> "CriticalValueTable":
-        with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
+    def from_text(text: str, is_json: bool) -> "CriticalValueTable":
+        """A table from the text of its JSON document (to_json) or CSV file
+        (to_csv: '# key=value' lines, where replications and master_seed
+        default to 0, then an 'n' header row of alphas and a row per n)."""
         try:
+            if is_json:
+                doc = json.loads(text)
+                return CriticalValueTable(
+                    tuple(doc["n_values"]), tuple(doc["alphas"]), doc["quantiles"],
+                    doc.get("replications", 0), doc.get("master_seed", 0))
+            lines = [line.strip() for line in text.splitlines()]
+            notes = [line[1:].strip() for line in lines if line.startswith("#")]
+            meta = dict(note.split("=", 1) for note in notes if "=" in note)
+            rows = list(csv.reader(line for line in lines if line and not line.startswith("#")))
+            if not rows or rows[0][0].strip() != "n":
+                raise DataError("critical value table must start with an 'n' header row")
             return CriticalValueTable(
-                tuple(doc["n_values"]), tuple(doc["alphas"]), np.array(doc["quantiles"]),
-                int(doc.get("replications", 0)), int(doc.get("master_seed", 0)))
+                tuple(int(r[0]) for r in rows[1:]), tuple(float(a) for a in rows[0][1:]),
+                [[float(c) for c in r[1:]] for r in rows[1:]],
+                int(meta.get("replications", 0)), int(meta.get("master_seed", 0)))
         except KeyError as exc:
-            raise DataError(f"critical value table missing field {exc}") from exc
-
-    @staticmethod
-    def load(path) -> "CriticalValueTable":
-        if str(path).endswith(".json"):
-            return CriticalValueTable.from_json(path)
-        return CriticalValueTable.from_csv(path)
+            raise DataError(f"critical value table missing field {exc}") from None
+        except (csv.Error, TypeError, ValueError) as exc:  # JSONDecodeError is a ValueError
+            raise DataError(f"not a critical value table: {exc}") from None
 
 
 def critical_values(n_values, alphas, replications: int, master_seed: int,
@@ -172,18 +165,9 @@ def critical_values(n_values, alphas, replications: int, master_seed: int,
     """Simulate the null quantile table.  Each row n draws from its own
     counter-based stream keyed by (master_seed, row tag, n), so the table is
     bit-identical for any worker count."""
-    n_values = tuple(int(n) for n in n_values)
-    alphas = tuple(sorted({float(a) for a in alphas}))
-    if not n_values or not alphas:
-        raise UsageError("need at least one n row and one alpha column")
-    if any(n < 2 for n in n_values):
-        raise UsageError("rows need n >= 2")
-    if len(set(n_values)) != len(n_values):
-        raise UsageError("duplicate n rows")
+    n_values, alphas = _check_axes(n_values, sorted(set(alphas)), UsageError)
     if replications < 1000:
         raise UsageError("need at least 1000 replications for quantile estimation")
-    for a in alphas:
-        _check_alpha(a)
 
     quantiles = np.empty((len(n_values), len(alphas)))
 

@@ -83,6 +83,16 @@ class TestRecordsCommand:
         lines = (out / "records.csv").read_text().strip().splitlines()
         assert lines[1:] == ["1,1,0.5", "2,2,4.5"]
 
+    def test_gamma_family_refuses_lower_direction(self, tmp_path, capsys):
+        """Transformed records are upper records; --direction lower would be
+        ignored, so it is a usage error before anything is written."""
+        out = tmp_path / "o"
+        fam = '{"kind": "gamma_type", "member": "rayleigh"}'
+        assert run("records", "--input", "lacc-rainfall-records", "--family", fam,
+                   "--direction", "lower", "--out", str(out)) == 2
+        assert "--direction lower" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
 
 class TestEstimateCommand:
     def test_rainfall_nonstationary(self, tmp_path):
@@ -153,6 +163,22 @@ class TestSimulateCommand:
         assert lines[0] == "scheme,p,n,estimator,bias,risk,se_bias,se_risk"
         ns = {line.split(",")[2] for line in lines[1:]}
         assert ns == {"2", "3", "4"}
+
+    def test_integral_float_counts_are_whole_numbers(self, tmp_path):
+        """A count written as 1e3 is the whole number 1000: the tables are
+        byte-identical to those of the integer config."""
+        path = self.config(tmp_path, reps=1000)
+        text = path.read_text(encoding="utf-8")
+        tables = []
+        for tag, reps in (("int", "1000"), ("float", "1e3")):
+            doc = text.replace('"replications": 1000', f'"replications": {reps}')
+            assert f'"replications": {reps}' in doc
+            path.write_text(doc, encoding="utf-8")
+            out = tmp_path / tag
+            assert run("simulate", "--config", str(path), "--out", str(out)) == 0
+            tables.append([(out / name).read_bytes()
+                           for name in ("simulate_summary.csv", "simulate_summary.json")])
+        assert tables[0] == tables[1]
 
     def test_single_replicate_flags_se(self, tmp_path, capsys):
         path = self.config(tmp_path, reps=1)
@@ -275,8 +301,22 @@ BAD_FAMILIES = {
 }
 
 
+def config_text(field, literal):
+    """GOOD_CONFIG as JSON text with `field` set to a JSON literal that
+    Python does not write, such as 1e400."""
+    return json.dumps(dict(GOOD_CONFIG, **{field: "<literal>"})).replace('"<literal>"', literal)
+
+
 @pytest.mark.parametrize("argv", [
     pytest.param(["simulate", "--config", dict(GOOD_CONFIG, n_target="x")], id="config n_target"),
+    pytest.param(["simulate", "--config", dict(GOOD_CONFIG, n_target=3.9)], id="config n_target fraction"),
+    pytest.param(["simulate", "--config", dict(GOOD_CONFIG, n_target="3")], id="config n_target string"),
+    pytest.param(["simulate", "--config", dict(GOOD_CONFIG, n_target=True)], id="config n_target true"),
+    pytest.param(["simulate", "--config", config_text("max_observations", "1e400")],
+                 id="config max_observations 1e400"),
+    pytest.param(["simulate", "--config", config_text("replications", "1e400")],
+                 id="config replications 1e400"),
+    pytest.param(["simulate", "--config", dict(GOOD_CONFIG, n_values=[2.5])], id="config n_values fraction"),
     pytest.param(["simulate", "--config", [1, 2]], id="config list"),
     pytest.param(["simulate", "--config", dict(GOOD_CONFIG, family="gamma")], id="config family"),
     pytest.param(["simulate", "--config", dict(GOOD_CONFIG, theta_model={
@@ -299,7 +339,8 @@ def test_malformed_values_are_usage_errors(tmp_path, capsys, argv):
     not with a traceback."""
     config = tmp_path / "config.json"
     if argv[0] == "simulate":
-        config.write_text(json.dumps(argv[2]), encoding="utf-8")
+        text = argv[2] if isinstance(argv[2], str) else json.dumps(argv[2])
+        config.write_text(text, encoding="utf-8")
         argv = argv[:2] + [str(config)]
     out = tmp_path / "o"
     assert run(*argv, "--out", str(out)) == 2
@@ -323,7 +364,7 @@ class TestCritvalsCommand:
         assert run("critvals", "--n-min", "2", "--n-max", "4", "--alphas", "0.05", "0.1",
                    "--reps", "5000", "--seed", "3", "--out", str(out)) == 0
         assert "wide Monte Carlo error" in capsys.readouterr().err
-        table = stationarity.CriticalValueTable.from_csv(out / "critvals.csv")
+        table = stationarity.CriticalValueTable.from_text((out / "critvals.csv").read_text(), is_json=False)
         assert table.n_values == (2, 3, 4)
         assert table.alphas == (0.05, 0.1)
 
@@ -386,6 +427,19 @@ class TestTestCommand:
         spac = np.diff(np.concatenate(([0.0], h)))
         expect = float(np.sum((spac[1:] / spac[:-1] - 1.0) ** 2) / 7.0)
         assert report["T"] == pytest.approx(expect, rel=1e-12)
+
+    def test_table_comment_lines_are_ignored(self, tmp_path):
+        plain = "# replications=100000\n# master_seed=0\nn,0.05\n8,2698.59\n"
+        noted = "# table by hand, n = 8 only\n#\n" + plain.replace("n,", "# rows follow\nn,")
+        reports = []
+        for tag, text in (("plain", plain), ("noted", noted)):
+            table = tmp_path / f"{tag}.csv"
+            table.write_text(text, encoding="utf-8")
+            out = tmp_path / tag
+            assert run("test", "--input", "lacc-rainfall-records", "--family", RAIN_FAMILY,
+                       "--table", str(table), "--out", str(out)) == 0
+            reports.append((out / "test_report.json").read_bytes())
+        assert reports[0] == reports[1]
 
     def test_rainfall_with_regenerated_table(self, tmp_path):
         out = tmp_path / "o"
@@ -495,7 +549,7 @@ class TestUnreadablePaths:
 
 class TestTableFile:
     """A --table that cannot be read is a usage error (exit 2); one that
-    reads but does not parse as a table is a data error (exit 3)."""
+    reads but is not a valid table is a data error (exit 3)."""
 
     CASES = {
         "missing": (None, 2),
@@ -504,6 +558,14 @@ class TestTableFile:
         "bad-number.csv": (b"n,0.05\n8,two\n", 3),
         "bad.json": (b'{"n_values": [8], "alphas": [0.05], ', 3),
         "no-quantiles.json": (b'{"n_values": [8], "alphas": [0.05]}', 3),
+        "nan-quantile.csv": (b"n,0.05\n8,nan\n", 3),
+        "inf-quantile.csv": (b"n,0.05\n8,inf\n", 3),
+        "null-quantile.json": (b'{"n_values": [8], "alphas": [0.05], "quantiles": [[null]]}', 3),
+        "duplicate-n.csv": (b"n,0.05\n8,2698.59\n8,1\n", 3),
+        "fractional-n.json": (b'{"n_values": [3.9, 8], "alphas": [0.05], '
+                              b'"quantiles": [[100.0], [2698.59]]}', 3),
+        "replications-1e400.json": (b'{"n_values": [8], "alphas": [0.05], '
+                                    b'"quantiles": [[2698.59]], "replications": 1e400}', 3),
     }
 
     @pytest.mark.parametrize("command", [
@@ -585,7 +647,8 @@ def test_cli_start_up_does_not_import_numpy_random():
 
 class TestSeedValidation:
     """A negative or non-integer master seed is a usage error (exit 2) that
-    names the field, on the command line and in a simulate config."""
+    names the field, on the command line and in a simulate config; so is a
+    negative or non-integer --threads."""
 
     @pytest.mark.parametrize("command", [
         ["simulate", "--config", "<config>"],
@@ -601,6 +664,17 @@ class TestSeedValidation:
             run(*argv, "--seed", seed, "--out", str(tmp_path / "o"))
         assert exc.value.code == 2
         assert "argument --seed: must be a non-negative integer" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", [
+        ["critvals", "--reps", "100"],
+        ["records", "--input", "lacc-rainfall-records"],
+    ], ids=["critvals", "records"])
+    @pytest.mark.parametrize("threads", ["-3", "1.5"])
+    def test_threads_flag(self, tmp_path, capsys, command, threads):
+        with pytest.raises(SystemExit) as exc:
+            run(*command, "--threads", threads, "--out", str(tmp_path / "o"))
+        assert exc.value.code == 2
+        assert "argument --threads: must be a non-negative integer" in capsys.readouterr().err
 
     @pytest.mark.parametrize("seed", [-1, 1.5, "7", True, None])
     def test_config_master_seed(self, tmp_path, capsys, seed):

@@ -24,6 +24,12 @@ def exp_family():
     return families.proportional_hazard(Member.EXPONENTIAL)
 
 
+def summary_cell(summary, estimator, n):
+    """The summary cell of estimator at record index n."""
+    (found,) = [c for c in summary.cells if c.estimator == estimator and c.n == n]
+    return found
+
+
 class TestThetaStream:
     def test_constant(self):
         stream = montecarlo.ThetaStream(ParameterSequenceModel.constant(1.0), [np.random.default_rng(0)])
@@ -122,10 +128,28 @@ class TestThetaStream:
         with pytest.raises(UsageError):
             stream.take(0)
 
+    def test_constructors_leave_defaults_to_the_scheme_table(self):
+        table = montecarlo._SCHEME_PARAMS
+        assert ParameterSequenceModel.white_noise().params == {
+            name: default for name, (default, _) in table[Scheme.WHITE_NOISE].items()}
+        assert ParameterSequenceModel.white_noise(sd=2.0).params == {"mean": 10.0, "sd": 2.0}
+        assert ParameterSequenceModel.stochastic_geometric().params == {"redraw_per_index": True}
+        assert ParameterSequenceModel.stochastic_geometric(False).params == {"redraw_per_index": False}
+
 
 class TestRunReplicate:
     """Single replicates through simulate_records (replications=1, replicate
     stream (master_seed, 0))."""
+
+    @pytest.mark.parametrize("value", [3.9, "3", True, float("inf"), float("nan"), 0, -2])
+    @pytest.mark.parametrize("name", ["n_target", "replications", "max_observations"])
+    def test_config_counts_are_whole_numbers_from_one(self, name, value):
+        kwargs = dict(family=exp_family(), theta_model=ParameterSequenceModel.constant(1.0),
+                      n_target=2, replications=1, master_seed=0)
+        with pytest.raises(UsageError, match=name):
+            SimulationConfig(**dict(kwargs, **{name: value}))
+        whole = SimulationConfig(**dict(kwargs, **{name: 1e5}))
+        assert getattr(whole, name) == 10**5 and type(getattr(whole, name)) is int
 
     def test_single_record_constant(self):
         cfg = SimulationConfig(family=exp_family(), theta_model=ParameterSequenceModel.constant(3.0),
@@ -211,7 +235,7 @@ class TestBiasRiskTable:
     def test_constant_phr_umvue_unbiased(self):
         cfg = SimulationConfig(family=exp_family(), theta_model=ParameterSequenceModel.constant(1.0),
                                n_target=2, replications=2 * 10**4, master_seed=32)
-        cell = montecarlo.bias_risk_table(cfg, threads=4).cell(EstimatorId.UMVUE_PHR, 2)
+        cell = summary_cell(montecarlo.bias_risk_table(cfg, threads=4), EstimatorId.UMVUE_PHR, 2)
         assert abs(cell.bias) < 4 * cell.se_bias
 
     def test_natural_bias_positive_and_growing(self):
@@ -221,10 +245,11 @@ class TestBiasRiskTable:
             summary = montecarlo.bias_risk_table(cfg, threads=4)
             gamma_kind = family.kind == families.Kind.GAMMA_TYPE
             nat = EstimatorId.NATURAL_GAMMA if gamma_kind else EstimatorId.NATURAL_PHR
-            biases = [summary.cell(nat, n).bias for n in (1, 2, 3)]
+            biases = [summary_cell(summary, nat, n).bias for n in (1, 2, 3)]
             assert all(b > 0 for b in biases[1:])
             assert biases[1] < biases[2]
-            umv = summary.cell(EstimatorId.UMVUE_GAMMA if gamma_kind else EstimatorId.UMVUE_PHR, 3)
+            umvue = EstimatorId.UMVUE_GAMMA if gamma_kind else EstimatorId.UMVUE_PHR
+            umv = summary_cell(summary, umvue, 3)
             assert abs(umv.bias) < 4 * umv.se_bias
 
     def test_white_noise_umvue_risk_decreases_in_n(self):
@@ -234,7 +259,7 @@ class TestBiasRiskTable:
                                theta_model=ParameterSequenceModel.white_noise(),
                                n_target=4, replications=3 * 10**4, master_seed=38)
         summary = montecarlo.bias_risk_table(cfg, threads=4)
-        risks = [summary.cell(EstimatorId.UMVUE_GAMMA, n).risk for n in (2, 3, 4)]
+        risks = [summary_cell(summary, EstimatorId.UMVUE_GAMMA, n).risk for n in (2, 3, 4)]
         assert risks[0] > risks[1] > risks[2]
 
     def test_reversed_family_umvue_unbiased(self):
@@ -242,7 +267,7 @@ class TestBiasRiskTable:
                                theta_model=ParameterSequenceModel.constant(1.0),
                                n_target=2, replications=2 * 10**4, master_seed=34)
         summary = montecarlo.bias_risk_table(cfg, threads=4)
-        cell = summary.cell(EstimatorId.UMVUE_PRHR, 2)
+        cell = summary_cell(summary, EstimatorId.UMVUE_PRHR, 2)
         assert abs(cell.bias) < 4 * cell.se_bias
 
     def test_truncation_validation(self):
@@ -255,7 +280,7 @@ class TestBiasRiskTable:
         cfg = SimulationConfig(family=exp_family(), theta_model=ParameterSequenceModel.constant(1.0),
                                n_target=2, replications=1, master_seed=36)
         summary = montecarlo.bias_risk_table(cfg)
-        cell = summary.cell(EstimatorId.UMVUE_PHR, 2)
+        cell = summary_cell(summary, EstimatorId.UMVUE_PHR, 2)
         assert math.isnan(cell.se_bias) and math.isnan(cell.se_risk)
 
     def test_csv_rows_layout(self):

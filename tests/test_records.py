@@ -121,8 +121,8 @@ class TestAccumulator:
         rng = np.random.default_rng(4)
         seq = rng.normal(size=300)
         acc = records.RecordAccumulator(Direction.UPPER)
-        for x in seq:
-            acc.push(x)
+        for i in range(seq.size):
+            acc.extend(seq[i:i + 1])
         batch = records.extract_records(seq, Direction.UPPER)
         got = acc.result()
         assert np.array_equal(got.values, batch.values)

@@ -67,8 +67,9 @@ class TestNullSimulation:
         # P(T > t) = 1/(2 + sqrt(t)) for t >= 1, so t(alpha) = (1/alpha - 2)^2
         rng = np.random.default_rng(2)
         draws = stationarity._null_T_block(2, 2 * 10**5, rng)
+        draws.sort()
         for alpha, target in ((0.1, 64.0), (0.05, 324.0)):
-            got = stationarity.upper_quantile(draws, alpha)
+            got = stationarity._sorted_quantile(draws, alpha)
             assert got == pytest.approx(target, rel=0.1)
 
     def test_heavy_tail_quantiles_stabilize_but_means_do_not(self):
@@ -86,13 +87,14 @@ class TestNullSimulation:
 class TestQuantile:
     def test_type1_ceiling_small_sample(self):
         draws = np.arange(1.0, 11.0)
-        assert stationarity.upper_quantile(draws, 0.1) == 9.0
-        assert stationarity.upper_quantile(draws, 0.05) == 10.0
-        assert stationarity.upper_quantile(draws, 0.5) == 5.0
+        assert stationarity._sorted_quantile(draws, 0.1) == 9.0
+        assert stationarity._sorted_quantile(draws, 0.05) == 10.0
+        assert stationarity._sorted_quantile(draws, 0.5) == 5.0
 
     def test_alpha_range(self):
-        with pytest.raises(UsageError):
-            stationarity.upper_quantile(np.arange(5.0), 0.0)
+        for alpha in (0.0, 1.0, -0.5, float("nan")):
+            with pytest.raises(UsageError, match=r"alpha must lie in \(0, 1\)"):
+                stationarity.critical_values([2], [0.05, alpha], 1000, 0)
 
 
 class TestCriticalValues:
@@ -121,7 +123,7 @@ class TestCriticalValues:
         table = stationarity.critical_values([2, 3, 4], [0.05, 0.1], 10**4, 13)
         path = tmp_path / "table.csv"
         table.to_csv(path)
-        back = stationarity.CriticalValueTable.from_csv(path)
+        back = stationarity.CriticalValueTable.from_text(path.read_text(encoding="utf-8"), is_json=False)
         assert back.n_values == table.n_values
         assert back.alphas == table.alphas
         assert back.replications == table.replications
@@ -132,7 +134,7 @@ class TestCriticalValues:
         table = stationarity.critical_values([2, 3], [0.05], 10**4, 13)
         path = tmp_path / "table.json"
         table.to_json(path)
-        back = stationarity.CriticalValueTable.load(path)
+        back = stationarity.CriticalValueTable.from_text(path.read_text(encoding="utf-8"), is_json=True)
         assert np.array_equal(back.quantiles, table.quantiles)
 
     def test_null_calibration(self):
