@@ -38,17 +38,12 @@ def _exp_base_family() -> families.FamilySpec:
 
 def _record_chain(n: int, reps: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     """Record levels (in units of theta) and float record times of reps
-    constant-theta replicates, up to record n.
-
-    The n spacings come first, then each record's wait draw as -log(1 - U),
-    one uniform per replicate and record: the order the diagnostics have
-    always drawn in, so seeded diagnostics keep their values."""
+    constant-theta replicates, up to record n, from one (reps, 2n - 1) block
+    of standard exponential draws: per replicate, the layout the engine's
+    record chain draws from its replicate stream."""
     if reps < 1:
         raise UsageError("need reps >= 1")
-    e = np.empty((reps, 2 * n - 1))
-    e[:, :n] = rng.standard_exponential((reps, n))
-    e[:, n:] = -np.log(1.0 - rng.random((n - 1, reps))).T
-    return montecarlo.record_chain(e)
+    return montecarlo.record_chain(rng.standard_exponential((reps, 2 * n - 1)))
 
 
 def _simulate(theta_model: montecarlo.ParameterSequenceModel, n: int, reps: int,

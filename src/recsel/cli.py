@@ -507,6 +507,10 @@ def main(argv=None) -> int:
     except NumericError as exc:
         print(f"numeric error: {exc}", file=sys.stderr)
         return 4
+    except MemoryError as exc:  # numpy's names the array it could not allocate
+        print(f"usage error: {str(exc) or 'out of memory'}; lower the replication count",
+              file=sys.stderr)
+        return 2
     except RecselError as exc:  # pragma: no cover - base class fallback
         print(f"error: {exc}", file=sys.stderr)
         return 2

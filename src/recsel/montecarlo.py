@@ -382,13 +382,15 @@ def record_chain(e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _record_chain_rows(config: SimulationConfig, start: int, stop: int, draws: SimulationDraws,
-                       pool: list) -> None:
-    """Replicates start..stop-1 of a constant-theta hazard-family config as
-    exact record chains: each replicate stream gives one standard_exponential
-    call of 2 n_target - 1 values, turned into record values and times by
-    record_chain.  Equal in law to _simulate_rows, truncation included: a
-    replicate whose n_target-th record comes after max_observations is
-    truncated at that cap.  A constant theta never departs from the model."""
+                       pool: list):
+    """Generator that samples replicates start..stop-1 of a constant-theta
+    hazard-family config as exact record chains: each replicate stream gives
+    one standard_exponential call of 2 n_target - 1 values, turned into
+    record values and times by record_chain.  Equal in law to _simulate_rows,
+    truncation included: a replicate whose n_target-th record comes after
+    max_observations is truncated at that cap.  It has no long block, so it
+    never yields None and never goes to a worker; it yields 0 departures,
+    since a constant theta never departs from the model."""
     theta = config.theta_model.params["value"]
     e = np.empty((stop - start, 2 * config.n_target - 1))
     for rng, row in zip(_batch_streams(config, start, stop, pool), e):
@@ -405,6 +407,7 @@ def _record_chain_rows(config: SimulationConfig, start: int, stop: int, draws: S
     draws.s_inv[out] = t / theta
     draws.observations[out] = t[:, -1]
     _truncate(draws, start + np.flatnonzero(~ok), cap)
+    yield 0
 
 
 def _simulate_rows(config: SimulationConfig, start: int, stop: int, draws: SimulationDraws,
@@ -501,26 +504,22 @@ def simulate_records(config: SimulationConfig, threads: int = 1) -> SimulationDr
     everything else streams observations (_simulate_rows), in batches of
     _BATCH_ROWS replicates.  The calling thread runs the short blocks of each
     batch and hands the rest of the batch to a worker while fewer than
-    `threads` are out, else finishes it itself.  Finished batches lend their
-    generators to later ones."""
+    `threads` are out, else finishes it itself; a record chain batch is
+    finished at once.  Finished batches lend their generators to later ones."""
     reps = config.replications
     n = config.n_target
+    chain = (config.theta_model.scheme == Scheme.CONSTANT
+             and config.family.kind != families.Kind.GAMMA_TYPE)
+    sample_rows = _record_chain_rows if chain else _simulate_rows
     draws = SimulationDraws(
         values=np.full((reps, n), np.nan),
         thetas=np.full((reps, n), np.nan),
         times=np.zeros((reps, n), dtype=np.int64),
         s_inv=np.full((reps, n), np.nan),
         truncated=np.zeros(reps, dtype=bool),
-        observations=np.zeros(reps, dtype=np.int64))
+        observations=np.zeros(reps, dtype=np.int64),
+        sampler="record_chain" if chain else "stream")
     spans = [(s, min(s + _BATCH_ROWS, reps)) for s in range(0, reps, _BATCH_ROWS)]
-    if (config.theta_model.scheme == Scheme.CONSTANT
-            and config.family.kind != families.Kind.GAMMA_TYPE):
-        draws.sampler = "record_chain"
-        pool = []  # the generators, reset for each batch
-        for start, stop in spans:
-            _record_chain_rows(config, start, stop, draws, pool)
-        return draws
-
     workers = threads if threads and threads > 1 else 0
     free = []  # generator lists of finished batches, reset for later ones
     handed = {}  # future of a batch resumed on a worker -> its generators
@@ -531,7 +530,7 @@ def simulate_records(config: SimulationConfig, threads: int = 1) -> SimulationDr
                 departures += future.result()
                 free.append(handed.pop(future))
             pool = free.pop() if free else []
-            batch = _simulate_rows(config, start, stop, draws, pool)
+            batch = sample_rows(config, start, stop, draws, pool)
             done = next(batch)
             if done is None:  # suspended before its first long block
                 if len(handed) < workers:

@@ -174,10 +174,13 @@ def critical_values(n_values, alphas, replications: int, master_seed: int,
     def do_row(i: int) -> None:
         n = n_values[i]
         rng = substream(master_seed, _ROW_STREAM_TAG, n)
+        # at most 2**21 values a block: standard_exponential fills in C
+        # order, so the split does not change the draws
+        block = min(1 << 17, max(1, (1 << 21) // n))
         draws = np.empty(replications)
         pos = 0
         while pos < replications:
-            count = min(1 << 17, replications - pos)
+            count = min(block, replications - pos)
             draws[pos:pos + count] = _null_T_block(n, count, rng)
             pos += count
         draws.sort()

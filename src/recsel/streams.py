@@ -8,9 +8,10 @@ The stream of replicate r is Philox keyed by
 `SeedSequence(entropy=master_seed, spawn_key=(r,)).generate_state(2, uint64)`
 at counter 0.  Building that SeedSequence and a new Philox costs ~30 us, so
 `replicate_stream` can instead reset a generator the caller already holds to
-the same initial state, with the keys of a block of replicates derived in one
-vectorised pass of SeedSequence's hash.  `numpy.random` itself is imported on
-first use, not with this module.
+the same initial state.  numpy's own SeedSequence mixes the master seed;
+only the spawn word is hashed here, for a block of replicates in one
+vectorised pass.  `numpy.random` itself is imported on first use, not with
+this module.
 """
 
 from __future__ import annotations
@@ -62,28 +63,10 @@ def replicate_stream(master_seed: int, replicate_index: int,
     return reuse
 
 
-def _hash(value, hc: int, mult: int):
-    """SeedSequence's hash of a uint32 word under the running hash constant
-    hc; returns the hash and the next constant."""
-    hc_next = hc * mult & _MASK
-    value = (value ^ hc) * hc_next & _MASK
-    return value ^ (value >> 16), hc_next
-
-
 def _mix(x, y):
-    """SeedSequence's mix of two uint32 words (ints or uint32 arrays)."""
+    """SeedSequence's mix of two uint32 words, elementwise over arrays."""
     value = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _MASK
     return value ^ (value >> 16)
-
-
-def _words(n: int) -> list[int]:
-    """n as little-endian uint32 words, at least one (SeedSequence's coercion)."""
-    if n < 0:
-        raise ValueError("expected non-negative integer")
-    words = [n & _MASK]
-    while n := n >> 32:
-        words.append(n & _MASK)
-    return words
 
 
 def _constants(hc: int, mult: int) -> np.ndarray:
@@ -93,30 +76,6 @@ def _constants(hc: int, mult: int) -> np.ndarray:
     for _ in range(_POOL_SIZE):
         out.append(out[-1] * mult & _MASK)
     return np.array(out, dtype=np.uint32)[:, None]
-
-
-def _seed_pool(master_seed: int) -> tuple[np.ndarray, int]:
-    """SeedSequence's entropy pool (a uint32 column) and hash constant after
-    master_seed is mixed in, padded with zero words to the pool size as it is
-    whenever a spawn key follows.  The spawn key's words come after these, so
-    only they differ between replicates."""
-    run = _words(master_seed)
-    run += [0] * (_POOL_SIZE - len(run))
-    hc = _INIT_A
-    pool = []
-    for w in run[:_POOL_SIZE]:
-        h, hc = _hash(w, hc, _MULT_A)
-        pool.append(h)
-    for src in range(_POOL_SIZE):
-        for dst in range(_POOL_SIZE):
-            if src != dst:
-                h, hc = _hash(pool[src], hc, _MULT_A)
-                pool[dst] = _mix(pool[dst], h)
-    for w in run[_POOL_SIZE:]:
-        for dst in range(_POOL_SIZE):
-            h, hc = _hash(w, hc, _MULT_A)
-            pool[dst] = _mix(pool[dst], h)
-    return np.array(pool, dtype=np.uint32)[:, None], hc
 
 
 def _key_block(master_seed: int, block: int) -> list[list[int]]:
@@ -132,7 +91,13 @@ def _key_block(master_seed: int, block: int) -> list[list[int]]:
     if first + _KEY_BLOCK > 2**32:
         return [np.random.SeedSequence(master_seed, spawn_key=(r,)).generate_state(2, np.uint64).tolist()
                 for r in range(first, first + _KEY_BLOCK)]
-    pool, hc = _seed_pool(master_seed)
+    # The pool once the master seed's words are mixed in; the spawn word
+    # comes after them, so only it differs between replicates.  Mixing w
+    # seed words hashes 4 + 12 + 4 * max(0, w - 4) times, each step
+    # advancing the hash constant by _MULT_A.
+    pool = np.random.SeedSequence(master_seed).pool[:, None]
+    words = max(1, -(-master_seed.bit_length() // 32))
+    hc = _INIT_A * pow(_MULT_A, 16 + _POOL_SIZE * max(0, words - _POOL_SIZE), 2**32) & _MASK
     w = np.arange(first, first + _KEY_BLOCK, dtype=np.uint32)  # the one spawn word
     hcs = _constants(hc, _MULT_A)
     h = (w ^ hcs[:-1]) * hcs[1:]

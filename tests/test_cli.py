@@ -152,8 +152,8 @@ class TestSimulateCommand:
     def test_bundled_config_layout(self, tmp_path):
         import importlib.resources as res
 
-        cfg_path = str(res.files("recsel").joinpath("data/configs/table1_scheme1_p05.json"))
-        doc = json.loads(open(cfg_path).read())
+        cfg_path = Path(str(res.files("recsel").joinpath("data/configs/table1_scheme1_p05.json")))
+        doc = json.loads(cfg_path.read_text(encoding="utf-8"))
         doc["replications"] = 1000
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(doc))
@@ -381,6 +381,22 @@ class TestCritvalsCommand:
                        "--seed", "44", "--threads", threads, "--out", str(out)) == 0
             blobs.append((out / "critvals.csv").read_bytes())
         assert blobs[0] == blobs[1] == blobs[2]
+
+
+@pytest.mark.parametrize("command", ["simulate", "critvals"])
+def test_counts_past_memory_are_usage_errors(tmp_path, capsys, command):
+    """10**15 replications pass every count check; the allocation numpy
+    refuses is a usage error (exit 2) that names it, not a traceback."""
+    out = tmp_path / "o"
+    if command == "simulate":
+        config = tmp_path / "config.json"
+        config.write_text(config_text("replications", "1e15"), encoding="utf-8")
+        argv = ["simulate", "--config", str(config)]
+    else:
+        argv = ["critvals", "--n-min", "2", "--n-max", "3", "--reps", str(10**15)]
+    assert run(*argv, "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert "Unable to allocate" in err and "lower the replication count" in err
 
 
 class TestAlphaOutsideUnitInterval:

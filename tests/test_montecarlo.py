@@ -556,7 +556,9 @@ class TestMatchesReference:
 
     def test_short_replicates_start_no_thread(self, monkeypatch):
         # geometric theta ends every replicate within ~100 observations, far
-        # short of a 4096-observation block: no batch is handed off
+        # short of a 4096-observation block: no batch is handed off.  The
+        # record chain has no blocks, so even with hand-offs forced it hands
+        # none off
         started = []
         start = threading.Thread.start
 
@@ -570,6 +572,9 @@ class TestMatchesReference:
                                   n_target=4, replications=2000, master_seed=56)
         draws = montecarlo.simulate_records(config, threads=2)
         assert draws.observations.max() <= 4032  # the blocks before the first of 4096
+        forced_handoffs(monkeypatch)
+        chain = montecarlo.simulate_records(constant_config(exp_family(), 1.0, 70), threads=2)
+        assert chain.sampler == "record_chain"
         assert started == []
 
     def test_handed_off_batches_recycle_generators(self, monkeypatch):

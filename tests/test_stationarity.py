@@ -115,6 +115,20 @@ class TestCriticalValues:
         b = stationarity.critical_values([2, 5], [0.05, 0.1], 10**4, 11, threads=4)
         assert np.array_equal(a.quantiles, b.quantiles)
 
+    def test_blocks_are_bounded_by_values(self, monkeypatch):
+        """A long row draws blocks of at most 2**21 values, not up to 2**17
+        rows of n values each (16 GB at n = 10**4 and 10**5 replications)."""
+        blocks = []
+
+        def recording(n, count, rng):
+            blocks.append((count, n))
+            return np.ones(count)
+
+        monkeypatch.setattr(stationarity, "_null_T_block", recording)
+        stationarity.critical_values([10**5], [0.05], 1000, 0)
+        assert sum(count for count, _ in blocks) == 1000
+        assert all(count * n <= 2**21 for count, n in blocks)
+
     def test_replication_floor(self):
         with pytest.raises(UsageError):
             stationarity.critical_values([2], [0.05], 500, 0)
