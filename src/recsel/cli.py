@@ -63,49 +63,45 @@ def _load_sequence(path: str, column: str | None = None) -> np.ndarray:
 
 
 def _read_sequence(p: Path, path: str, column: str | None) -> np.ndarray:
-    if column is not None:
-        with open(p, newline="", encoding="utf-8") as fh:
+    if column is None:
+        # numpy's C parser reads the common file.  The value loop below is
+        # the definition: it runs whenever that parser refuses the file
+        # (invalid UTF-8 included), finds no values or splits a line into
+        # several tokens, so it names the offending line and accepts every
+        # spelling float() takes (1_000, non-ASCII digits).  ndmin=2 keeps a
+        # one-line file of several tokens from passing as a column.
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+            try:
+                parsed = np.loadtxt(p, dtype=float, comments="#", ndmin=2, encoding="utf-8")
+            except ValueError:
+                parsed = None
+        if parsed is not None and parsed.shape[0] > 0 and parsed.shape[1] == 1:
+            return parsed.ravel()
+    values = []
+    with open(p, newline="", encoding="utf-8") as fh:
+        # (line number, cell): a text line up to its '#' comment, or a CSV
+        # cell as it stands
+        if column is None:
+            cells = ((lineno, line.split("#", 1)[0]) for lineno, line in enumerate(fh, start=1))
+            empty = f"{path} holds no values"
+        else:
             reader = csv.DictReader(fh)
             if reader.fieldnames is None or column not in reader.fieldnames:
                 raise DataError(f"column {column!r} not present in {path}")
-            values = []
-            for lineno, row in enumerate(reader, start=2):
-                cell = (row[column] or "").strip()
-                if not cell:
-                    continue
-                try:
-                    values.append(float(cell))
-                except ValueError:
-                    raise DataError(f"{path}:{lineno}: cannot parse {cell!r} as a number") from None
-        if not values:
-            raise DataError(f"column {column!r} of {path} holds no values")
-        return np.asarray(values)
-    # numpy's C parser reads the common file.  The per-line loop below is the
-    # definition: it runs whenever that parser refuses the file (invalid UTF-8
-    # included), finds no values or splits a line into several tokens, so it
-    # names the offending line and accepts every spelling float() takes
-    # (1_000, non-ASCII digits).  ndmin=2 keeps a one-line file of several
-    # tokens from passing as a column.
-    with warnings.catch_warnings():
-        warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
-        try:
-            parsed = np.loadtxt(p, dtype=float, comments="#", ndmin=2, encoding="utf-8")
-        except ValueError:
-            parsed = None
-    if parsed is not None and parsed.shape[0] > 0 and parsed.shape[1] == 1:
-        return parsed.ravel()
-    values = []
-    with open(p, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
+            # line_num counts the blank lines DictReader skips
+            cells = ((reader.line_num, row[column] or "") for row in reader)
+            empty = f"column {column!r} of {path} holds no values"
+        for lineno, cell in cells:
+            cell = cell.strip()
+            if not cell:
                 continue
             try:
-                values.append(float(line))
+                values.append(float(cell))
             except ValueError:
-                raise DataError(f"{path}:{lineno}: cannot parse {line!r} as a number") from None
+                raise DataError(f"{path}:{lineno}: cannot parse {cell!r} as a number") from None
     if not values:
-        raise DataError(f"{path} holds no values")
+        raise DataError(empty)
     return np.asarray(values)
 
 
@@ -200,7 +196,7 @@ def cmd_records(args) -> int:
             raise UsageError("records --family expects a gamma-type family (transformed records)")
         if args.direction != records.Direction.UPPER:
             raise UsageError("records --family extracts upper records only, not --direction lower")
-        rec = records.transformed_records(seq, family)
+        rec = records.canonical_records(seq, family)
     else:
         fam_path = None
         rec = records.extract_records(seq, args.direction)
@@ -387,16 +383,16 @@ def cmd_demo_rainfall(args) -> int:
     seq = _load_sequence(in_path)
     rec = records.extract_records(seq, records.Direction.UPPER)
     canon = records.canonical_records(seq, family)
-    # first, so that a bad --alpha exits before any file is written
+    # first, so that a bad --band-factor or --alpha exits before any file is written
+    rows = [[label] + r.to_csv_row()
+            for label, stationary in (("stationary", True), ("nonstationary", False))
+            for r in estimators.estimate_path(canon, family, stationary, args.band_factor)]
     report = _run_test(canon, args.alpha, args.table, args.seed, args.reps, args.threads)
 
     out_records = outdir / "rainfall_records.csv"
     _write_records(out_records, rec)
     out_paths = outdir / "rainfall_estimates.csv"
-    output.write_csv(out_paths, ["hypothesis"] + ESTIMATE_HEADER, [
-        [label] + r.to_csv_row()
-        for label, stationary in (("stationary", True), ("nonstationary", False))
-        for r in estimators.estimate_path(canon, family, stationary, args.band_factor)])
+    output.write_csv(out_paths, ["hypothesis"] + ESTIMATE_HEADER, rows)
     out_json = outdir / "rainfall_test.json"
     output.write_json(out_json, report)
 
@@ -455,9 +451,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="bias/risk table from a simulation config")
     p.add_argument("--config", required=True, help="simulation config JSON file")
+    add_common(p, seeded=False)
     p.add_argument("--seed", type=_non_negative_int, default=None, help="override the config master seed")
-    p.add_argument("--out", default="recsel-out")
-    p.add_argument("--threads", type=_non_negative_int, default=0)
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("critvals", help="simulate the critical value table")

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import families
-from .errors import DomainError, NumericError, UsageError
+from .errors import DomainError, NumericError, UsageError, finite_number
 from .records import RecordSet
 
 QUAD_ABS_TOL = 1e-10
@@ -254,6 +254,8 @@ def estimate_path(canonical: RecordSet, family: families.FamilySpec, stationary:
     is H(U_n)/n; otherwise the selection estimator for the family kind."""
     if stationary and family.kind == families.Kind.GAMMA_TYPE:
         raise UsageError("stationary estimates are defined for hazard families")
+    if finite_number("band_factor", band_factor) < 0:
+        raise UsageError(f"band_factor must be >= 0, got {band_factor!r}")
     est_id = EstimatorId.STATIONARY_UMVUE if stationary else ESTIMATORS[family.kind][0]
     values = canonical.values
     reports = []

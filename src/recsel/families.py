@@ -290,15 +290,6 @@ def canonical_transform(family: FamilySpec, x):
     return -out if np.ndim(out) else -float(out)
 
 
-def estimation_record_direction(family: FamilySpec) -> str:
-    """Raw-scale record direction whose records carry the selection estimand:
-    'upper' except for the reversed-hazard family, whose canonical exponential
-    statistic -log G(X) grows as X falls."""
-    if family.kind == Kind.PROPORTIONAL_REVERSED_HAZARD:
-        return "lower"
-    return "upper"
-
-
 # ---------------------------------------------------------------------------
 # sampling / cdf / pdf
 

@@ -37,6 +37,8 @@ class RecordSet:
         object.__setattr__(self, "times", times)
         if values.shape != times.shape or values.ndim != 1 or values.size == 0:
             raise DataError("values and times must be matching nonempty 1-d arrays")
+        if not np.all(np.isfinite(values)):
+            raise DataError("record values must be finite")
         if times[0] != 1 or np.any(np.diff(times) <= 0):
             raise DataError("record times must start at 1 and increase strictly")
         diffs = np.diff(values)
@@ -90,59 +92,20 @@ def extract_records(seq, direction: Direction | str = Direction.UPPER) -> Record
     return RecordSet(arr[times - 1], times, direction, arr.size)
 
 
-def transformed_records(seq, family: families.FamilySpec) -> RecordSet:
-    """Upper records of the transformed sequence S(x_i) for a gamma-type
-    family.  Transforming first keeps this correct for non-monotone S
-    (the zero-mean normal member)."""
-    if family.kind != families.Kind.GAMMA_TYPE:
-        raise UsageError("transformed_records applies to gamma-type families only")
-    arr = _as_sequence(seq)
-    return extract_records(families.s_transform(family, arr), Direction.UPPER)
-
-
 def canonical_records(seq, family: families.FamilySpec) -> RecordSet:
     """Records of the canonical (Gamma- or exponential-scale) statistic, the
     scale on which the selection estimators operate.
 
-    Gamma-type: upper records of S(x).  Hazard family: H applied to the upper
-    records of x.  Reversed-hazard family: -R applied to the lower records of
-    x, which are the upper records of the exponential statistic -log G(X).
+    Gamma-type: upper records of S(x), transformed first so that a
+    non-monotone S (the zero-mean normal member) stays correct.  Hazard
+    family: H applied to the upper records of x.  Reversed-hazard family: -R
+    applied to the lower records of x, which are the upper records of the
+    exponential statistic -log G(X).
     """
     if family.kind == families.Kind.GAMMA_TYPE:
-        return transformed_records(seq, family)
-    direction = Direction(families.estimation_record_direction(family))
-    raw = extract_records(seq, direction)
+        # the raw values are checked first: the inverse-Gaussian S maps inf to 0
+        return extract_records(families.s_transform(family, _as_sequence(seq)))
+    reversed_hazard = family.kind == families.Kind.PROPORTIONAL_REVERSED_HAZARD
+    raw = extract_records(seq, Direction.LOWER if reversed_hazard else Direction.UPPER)
     values = families.canonical_transform(family, raw.values)
     return RecordSet(values, raw.times, Direction.UPPER, raw.source_length)
-
-
-class RecordAccumulator:
-    """Incremental record scanner; accepts one block of observations at a
-    time so callers never materialize full sequences."""
-
-    def __init__(self, direction: Direction | str = Direction.UPPER):
-        self.direction = Direction(direction)
-        self._values: list[float] = []
-        self._times: list[int] = []
-        self._count = 0
-        self._extreme = -np.inf if self.direction == Direction.UPPER else np.inf
-
-    def extend(self, block) -> int:
-        """Feed a block of observations; returns how many records it added."""
-        block = np.asarray(block, dtype=float)
-        if block.size == 0:
-            return 0
-        if not np.all(np.isfinite(block)):
-            raise DataError("sequence contains non-finite values")
-        mask, extreme = record_mask(block, self._extreme, self.direction)
-        idx = np.flatnonzero(mask)
-        self._values.extend(block[idx].tolist())
-        self._times.extend((self._count + idx + 1).tolist())
-        self._count += block.size
-        self._extreme = float(extreme)
-        return int(idx.size)
-
-    def result(self) -> RecordSet:
-        if not self._values:
-            raise UsageError("no observations seen yet")
-        return RecordSet(np.array(self._values), np.array(self._times), self.direction, self._count)

@@ -38,16 +38,19 @@ def test_statistic(theta_hats) -> float:
         raise UsageError("need at least two estimates")
     if np.any(th <= 0) or not np.all(np.isfinite(th)):
         raise DomainError("estimates must be positive and finite")
-    ratios = th[1:] / th[:-1]
-    return float(np.mean((ratios - 1.0) ** 2))
+    return float(_mean_squared_jump(th))
+
+
+def _mean_squared_jump(th: np.ndarray) -> np.ndarray:
+    """T along the last axis of th: the mean of (th[k+1]/th[k] - 1)**2."""
+    jumps = np.divide(th[..., 1:], th[..., :-1])  # the one buffer, squared in place
+    jumps -= 1.0
+    np.square(jumps, out=jumps)
+    return np.mean(jumps, axis=-1)
 
 
 def _null_T_block(n: int, count: int, rng: np.random.Generator) -> np.ndarray:
-    z = rng.standard_exponential((count, n))
-    jumps = np.divide(z[:, 1:], z[:, :-1])  # the one (count, n - 1) buffer, squared in place
-    jumps -= 1.0
-    np.square(jumps, out=jumps)
-    return np.mean(jumps, axis=1)
+    return _mean_squared_jump(rng.standard_exponential((count, n)))
 
 
 def _check_axes(n_values, alphas, error) -> tuple[tuple[int, ...], tuple[float, ...]]:

@@ -66,6 +66,28 @@ class TestRecordsCommand:
         lines = (out / "records.csv").read_text().strip().splitlines()
         assert lines[1:] == ["1,1,3", "2,3,4"]
 
+    def test_csv_comment_cell_names_its_line(self, tmp_path, capsys):
+        # CSV cells are not comment-stripped: '# 5' is a value that does not
+        # parse, on line 4 of the file, past the blank line
+        seq = tmp_path / "data.csv"
+        seq.write_text("year,rain\n1890,3.0\n\n1891,# 5\n", encoding="utf-8")
+        assert run("records", "--input", str(seq), "--column", "rain", "--out", str(tmp_path / "o")) == 3
+        assert f"{seq}:4: cannot parse '# 5' as a number" in capsys.readouterr().err
+
+    def test_csv_blank_cells_are_skipped(self, tmp_path):
+        seq = tmp_path / "data.csv"
+        seq.write_text("year,rain\n1890,3.0\n1891, \n1892\n1893,4.0\n", encoding="utf-8")
+        out = tmp_path / "o"
+        assert run("records", "--input", str(seq), "--column", "rain", "--out", str(out)) == 0
+        lines = (out / "records.csv").read_text().strip().splitlines()
+        assert lines[1:] == ["1,1,3", "2,2,4"]
+
+    def test_csv_column_without_values(self, tmp_path, capsys):
+        seq = tmp_path / "data.csv"
+        seq.write_text("year,rain\n1890,\n", encoding="utf-8")
+        assert run("records", "--input", str(seq), "--column", "rain", "--out", str(tmp_path / "o")) == 3
+        assert f"column 'rain' of {seq} holds no values" in capsys.readouterr().err
+
     def test_lower_direction(self, tmp_path):
         seq = tmp_path / "s.txt"
         write_sequence(seq, [3, 1, 4, 1, 5])
@@ -134,6 +156,37 @@ class TestEstimateCommand:
         b = json.loads((out30 / "estimates.json").read_text())
         assert b[1]["band_hi"] - b[1]["estimate"] == pytest.approx(
             2.0 * (a[1]["band_hi"] - a[1]["estimate"]), rel=1e-9)
+
+    def test_infinite_canonical_record_is_data_error(self, tmp_path, capsys):
+        """-log G(0) = inf for the beta member: the record 0 has no finite
+        canonical value, so neither estimate nor test writes a result."""
+        seq = tmp_path / "s.txt"
+        write_sequence(seq, [0.5, 0.2, 0.0])
+        fam = '{"kind": "proportional_reversed_hazard", "member": "beta"}'
+        for command in ("estimate", "test"):
+            out = tmp_path / command
+            assert run(command, "--input", str(seq), "--family", fam, "--out", str(out)) == 3
+            assert "record values must be finite" in capsys.readouterr().err
+            assert list(out.iterdir()) == []
+
+    def test_zero_band_factor_is_a_point_band(self, tmp_path):
+        out = tmp_path / "o"
+        assert run("estimate", "--input", "lacc-rainfall-records", "--family", RAIN_FAMILY,
+                   "--band-factor", "0", "--out", str(out)) == 0
+        for r in json.loads((out / "estimates.json").read_text()):
+            assert r["band_lo"] == r["estimate"] == r["band_hi"]
+
+
+@pytest.mark.parametrize("command", ["estimate", "demo-rainfall"])
+@pytest.mark.parametrize("factor, message", [("nan", "must be a finite number"),
+                                             ("inf", "must be a finite number"),
+                                             ("-1", "must be >= 0")])
+def test_band_factor_must_be_finite_and_non_negative(tmp_path, capsys, command, factor, message):
+    out = tmp_path / "o"
+    argv = ["--input", "lacc-rainfall-records", "--family", RAIN_FAMILY] * (command == "estimate")
+    assert run(command, *argv, "--band-factor", factor, "--out", str(out)) == 2
+    assert f"band_factor {message}" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
 
 
 class TestSimulateCommand:

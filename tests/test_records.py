@@ -1,4 +1,4 @@
-"""Record extraction: scan semantics, transformed records, streaming accumulator."""
+"""Record extraction: scan semantics, canonical records, block scans."""
 
 import numpy as np
 import pytest
@@ -59,7 +59,7 @@ class TestExtract:
 class TestTransformed:
     def test_rayleigh_example(self):
         fam = families.gamma_type(Member.RAYLEIGH)
-        rec = records.transformed_records([1.0, 3.0, 2.0], fam)
+        rec = records.canonical_records([1.0, 3.0, 2.0], fam)
         assert rec.values.tolist() == [0.5, 4.5]
         assert rec.times.tolist() == [1, 2]
 
@@ -67,7 +67,7 @@ class TestTransformed:
         fam = families.gamma_type(Member.EXPONENTIAL)
         rng = np.random.default_rng(1)
         seq = rng.exponential(size=200)
-        a = records.transformed_records(seq, fam)
+        a = records.canonical_records(seq, fam)
         b = records.extract_records(seq, Direction.UPPER)
         assert np.array_equal(a.values, b.values) and np.array_equal(a.times, b.times)
 
@@ -77,7 +77,7 @@ class TestTransformed:
         rng = np.random.default_rng(2)
         for _ in range(100):
             seq = rng.gamma(2.0, size=rng.integers(3, 60))
-            direct = records.transformed_records(seq, fam)
+            direct = records.canonical_records(seq, fam)
             lower = records.extract_records(seq, Direction.LOWER)
             assert direct.values == pytest.approx(families.s_transform(fam, lower.values))
             assert np.array_equal(direct.times, lower.times)
@@ -87,14 +87,16 @@ class TestTransformed:
         rng = np.random.default_rng(3)
         for _ in range(100):
             seq = rng.weibull(2.5, size=rng.integers(3, 60))
-            direct = records.transformed_records(seq, fam)
+            direct = records.canonical_records(seq, fam)
             upper = records.extract_records(seq, Direction.UPPER)
             assert direct.values == pytest.approx(families.s_transform(fam, upper.values))
             assert np.array_equal(direct.times, upper.times)
 
-    def test_kind_guard(self):
-        with pytest.raises(UsageError):
-            records.transformed_records([1.0], families.proportional_hazard(Member.EXPONENTIAL))
+    def test_raw_values_are_checked_before_s(self):
+        # the inverse-Gaussian S maps inf to 0, which would pass as a value
+        fam = families.gamma_type(Member.INVERSE_GAUSSIAN)
+        with pytest.raises(DataError, match="non-finite"):
+            records.canonical_records([1.0, np.inf], fam)
 
 
 class TestCanonical:
@@ -115,33 +117,15 @@ class TestCanonical:
         assert canon.values == pytest.approx(-np.log(lower.values))
         assert np.all(np.diff(canon.values) > 0)
 
+    def test_infinite_canonical_value_rejected(self):
+        # -log G(0) = inf for the beta member
+        fam = families.proportional_reversed_hazard(Member.BETA)
+        with pytest.raises(DataError, match="record values must be finite"):
+            records.canonical_records([0.5, 0.2, 0.0], fam)
+
 
 class TestAccumulator:
-    def test_matches_batch_scalar_pushes(self):
-        rng = np.random.default_rng(4)
-        seq = rng.normal(size=300)
-        acc = records.RecordAccumulator(Direction.UPPER)
-        for i in range(seq.size):
-            acc.extend(seq[i:i + 1])
-        batch = records.extract_records(seq, Direction.UPPER)
-        got = acc.result()
-        assert np.array_equal(got.values, batch.values)
-        assert np.array_equal(got.times, batch.times)
-
-    def test_matches_batch_block_pushes(self):
-        rng = np.random.default_rng(5)
-        seq = rng.normal(size=500)
-        for direction in Direction:
-            acc = records.RecordAccumulator(direction)
-            pos = 0
-            while pos < seq.size:
-                step = int(rng.integers(1, 64))
-                acc.extend(seq[pos:pos + step])
-                pos += step
-            batch = records.extract_records(seq, direction)
-            got = acc.result()
-            assert np.array_equal(got.values, batch.values)
-            assert np.array_equal(got.times, batch.times)
+    """Record counts over many one-shot scans."""
 
     def test_expected_record_count_harmonic(self):
         # iid continuous length-100 sequences produce ~H_100 records
@@ -166,13 +150,17 @@ class TestRecordMask:
     @given(seq=sequences, cuts=st.lists(st.integers(1, 200), max_size=8),
            direction=st.sampled_from(list(Direction)))
     def test_accumulator_equals_one_shot_scan_for_any_split(self, seq, cuts, direction):
-        acc = records.RecordAccumulator(direction)
+        """Blocks scanned in turn, each with the extreme the last one left,
+        mark the records of one scan of the whole sequence."""
         bounds = sorted({0, len(seq), *(c for c in cuts if c < len(seq))})
-        added = sum(acc.extend(seq[a:b]) for a, b in zip(bounds, bounds[1:]))
-        got, batch = acc.result(), records.extract_records(seq, direction)
-        assert added == len(batch)
-        assert np.array_equal(got.values, batch.values)
-        assert np.array_equal(got.times, batch.times)
+        extreme = -np.inf if direction == Direction.UPPER else np.inf
+        masks = []
+        for a, b in zip(bounds, bounds[1:]):
+            mask, extreme = records.record_mask(seq[a:b], extreme, direction)
+            masks.append(mask)
+        batch = records.extract_records(seq, direction)
+        assert np.array_equal(np.flatnonzero(np.concatenate(masks)) + 1, batch.times)
+        assert extreme == batch.values[-1]
 
     @settings(max_examples=200, deadline=None)
     @given(seq=sequences, direction=st.sampled_from(list(Direction)))
