@@ -9,8 +9,9 @@ Two model classes are supported:
   exponential with mean theta.
 
 Each (kind, member) pair is one row of the catalog _ROWS.  FamilySpec values
-are immutable and safe to share between threads; sampling takes an
-externally supplied generator.
+are immutable and safe to share between threads.  The module gives each
+member's transform and support, not its raw-scale law: the estimators and
+the stationarity test work on the canonical statistic only.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DomainError, UsageError, finite_number
+from .errors import DataError, DomainError, UsageError, finite_number
 
 
 class Kind(str, enum.Enum):
@@ -49,26 +50,19 @@ class Member(str, enum.Enum):
 @dataclass(frozen=True)
 class _Row:
     """One catalog member of one kind.  t is its transform (S, H or R), dt
-    the derivative of t and inv the inverse of t (None for a tabulated
-    member); each takes the value and the member's parameters, inv also a
-    generator.  params names the member's parameters, positive numbers but
+    the derivative of t and inv the closed-form inverse of t that the risk
+    substitution of a hazard member uses (None where no hazard member needs
+    one); each takes the value and the member's parameters.  params names the member's parameters, positive numbers but
     for the table's two arrays, and reals its other real ones; support maps
-    the parameters to the support."""
+    the parameters to the support's endpoints."""
 
     t: Callable
     dt: Callable
-    inv: Callable | None
+    inv: Callable | None = None
     params: tuple[str, ...] = ()
     reals: tuple[str, ...] = ()
     support: Callable = lambda a: (0.0, math.inf)
     shape: float | None = 1.0  # gamma-type: the shape p the member fixes, None when p is free
-    law: Callable | None = None  # gamma-type: (scipy.stats, theta, p, params) -> frozen law of X
-
-
-def _signed_root(y, a, rng):
-    """Zero-mean normal from S = x**2/2: a root of 2y with a fair random sign."""
-    signs = rng.integers(0, 2, size=np.shape(y)) * 2 - 1
-    return signs * np.sqrt(2.0 * y)
 
 
 def _table_slope(x, a):
@@ -98,48 +92,41 @@ def _check_table(kind: Kind, a: dict) -> dict:
 
 
 # formulas exponential and Rayleigh members share across kinds
-_IDENTITY = _Row(lambda x, a: x, lambda x, a: np.ones_like(x), lambda u, a, rng: u)
-_HALF_SQUARE = _Row(lambda x, a: x * x / 2.0, lambda x, a: x, lambda u, a, rng: np.sqrt(2.0 * u))
+_IDENTITY = _Row(lambda x, a: x, lambda x, a: np.ones_like(x), lambda u, a: u)
+_HALF_SQUARE = _Row(lambda x, a: x * x / 2.0, lambda x, a: x, lambda u, a: np.sqrt(2.0 * u))
 # a custom member given as a monotone table of (x, transform) pairs: evaluation
 # only, since the table does not determine the tail
 _TABLE = _Row(lambda x, a: np.interp(x, a["table_x"], a["table_h"]), _table_slope, None,
               ("table_x", "table_h"), support=lambda a: (a["table_x"][0], a["table_x"][-1]))
 
 _ROWS = {
-    (Kind.GAMMA_TYPE, Member.EXPONENTIAL): replace(
-        _IDENTITY, law=lambda st, th, p, a: st.expon(scale=th)),
-    (Kind.GAMMA_TYPE, Member.GAMMA): replace(
-        _IDENTITY, shape=None, law=lambda st, th, p, a: st.gamma(p, scale=th)),
+    (Kind.GAMMA_TYPE, Member.EXPONENTIAL): _IDENTITY,
+    (Kind.GAMMA_TYPE, Member.GAMMA): replace(_IDENTITY, shape=None),
     (Kind.GAMMA_TYPE, Member.NORMAL_ZERO_MEAN): replace(
-        _HALF_SQUARE, inv=_signed_root, support=lambda a: (-math.inf, math.inf), shape=0.5,
-        law=lambda st, th, p, a: st.norm(scale=math.sqrt(th))),
+        _HALF_SQUARE, support=lambda a: (-math.inf, math.inf), shape=0.5),
     # mean-infinity limit: the one-sided stable law with S(x) = 1/(2x)
     (Kind.GAMMA_TYPE, Member.INVERSE_GAUSSIAN): _Row(
-        lambda x, a: 1.0 / (2.0 * x), lambda x, a: -0.5 / (x * x), lambda u, a, rng: 1.0 / (2.0 * u),
-        shape=0.5, law=lambda st, th, p, a: st.levy(scale=1.0 / th)),
+        lambda x, a: 1.0 / (2.0 * x), lambda x, a: -0.5 / (x * x), shape=0.5),
     (Kind.GAMMA_TYPE, Member.WEIBULL_KNOWN_BETA): _Row(
-        lambda x, a: x ** a["beta"], lambda x, a: a["beta"] * x ** (a["beta"] - 1.0),
-        lambda u, a, rng: u ** (1.0 / a["beta"]), ("beta",),
-        law=lambda st, th, p, a: st.weibull_min(a["beta"], scale=th ** (1.0 / a["beta"]))),
-    (Kind.GAMMA_TYPE, Member.RAYLEIGH): replace(
-        _HALF_SQUARE, law=lambda st, th, p, a: st.rayleigh(scale=math.sqrt(th))),
+        lambda x, a: x ** a["beta"], lambda x, a: a["beta"] * x ** (a["beta"] - 1.0), params=("beta",)),
+    (Kind.GAMMA_TYPE, Member.RAYLEIGH): _HALF_SQUARE,
     (Kind.PROPORTIONAL_HAZARD, Member.EXPONENTIAL): _IDENTITY,
     (Kind.PROPORTIONAL_HAZARD, Member.RAYLEIGH): _HALF_SQUARE,
     (Kind.PROPORTIONAL_HAZARD, Member.PARETO): _Row(
         lambda x, a: np.log(x / a["beta"]), lambda x, a: 1.0 / x,
-        lambda u, a, rng: a["beta"] * np.exp(u), ("beta",), support=lambda a: (a["beta"], math.inf)),
+        lambda u, a: a["beta"] * np.exp(u), ("beta",), support=lambda a: (a["beta"], math.inf)),
     (Kind.PROPORTIONAL_HAZARD, Member.BURR): _Row(
         lambda x, a: np.log1p(x ** a["alpha"]),
         lambda x, a: a["alpha"] * x ** (a["alpha"] - 1.0) / (1.0 + x ** a["alpha"]),
-        lambda u, a, rng: np.expm1(u) ** (1.0 / a["alpha"]), ("alpha",)),
+        lambda u, a: np.expm1(u) ** (1.0 / a["alpha"]), ("alpha",)),
     # parametric custom transform H(x) = ((x - shift)**power)/scale
     (Kind.PROPORTIONAL_HAZARD, Member.CUSTOM): _Row(
         lambda x, a: (x - a["shift"]) ** a["power"] / a["scale"],
         lambda x, a: a["power"] * (x - a["shift"]) ** (a["power"] - 1.0) / a["scale"],
-        lambda u, a, rng: a["shift"] + (a["scale"] * u) ** (1.0 / a["power"]),
+        lambda u, a: a["shift"] + (a["scale"] * u) ** (1.0 / a["power"]),
         ("power", "scale"), ("shift",), support=lambda a: (a["shift"], math.inf)),
     (Kind.PROPORTIONAL_REVERSED_HAZARD, Member.BETA): _Row(
-        lambda x, a: np.log(x), lambda x, a: 1.0 / x, lambda u, a, rng: np.exp(u),
+        lambda x, a: np.log(x), lambda x, a: 1.0 / x, lambda u, a: np.exp(u),
         support=lambda a: (0.0, 1.0)),
     (Kind.PROPORTIONAL_REVERSED_HAZARD, Member.CUSTOM): _TABLE,
 }
@@ -219,20 +206,37 @@ def proportional_reversed_hazard(member: Member | str, **params) -> FamilySpec:
 # transforms
 
 
-def _check_support(family: FamilySpec, x):
+def check_support(family: FamilySpec, x):
+    """x as a float array when every value lies in the family's support,
+    else a DomainError that names the support.  The support is the open
+    interval between its endpoints plus each finite endpoint where the
+    member's transform is finite, so it holds no NaN and no infinity, and
+    x = 0 lies outside it for the inverse-Gaussian S = 1/(2x) and the beta
+    R = log x."""
     x = np.asarray(x, dtype=float)
     lo, hi = family.support
-    if np.any(x < lo) or np.any(x > hi):
-        raise DomainError(f"value outside support [{lo}, {hi}]")
+    inside = (x > lo) & (x < hi)
+    if not inside.all():
+        with np.errstate(divide="ignore"):
+            closed = [e for e in (lo, hi)
+                      if math.isfinite(e) and np.isfinite(family.row.t(np.float64(e), family.member_params))]
+        outside = ~(inside | np.isin(x, closed))
+        if outside.any():
+            left, right = "[" if lo in closed else "(", "]" if hi in closed else ")"
+            raise DomainError(f"value {x[outside][0]} outside support {left}{lo}, {hi}{right}")
     return x
 
 
 def _apply(family: FamilySpec, fn, x):
-    """fn, a function of the family's row, at x on the support; a division
-    by zero at a support endpoint gives its infinite limit quietly."""
-    x = _check_support(family, x)
-    with np.errstate(divide="ignore"):
+    """fn, a function of the family's row, at x on the support.  A division
+    by zero at a support endpoint gives the derivative's infinite limit
+    quietly; the transform is finite on the support, so an infinite one is
+    an overflow of float64 and a data error."""
+    x = check_support(family, x)
+    with np.errstate(divide="ignore", over="ignore"):
         out = fn(x, family.member_params)
+    if fn is family.row.t and not np.all(np.isfinite(out)):
+        raise DataError(f"the canonical value of {x[~np.isfinite(out)][0]} overflows float64")
     return out if np.ndim(x) else float(out)
 
 
@@ -274,7 +278,7 @@ def cumulative_hazard_inverse(family: FamilySpec, u):
         raise DomainError("reversed cumulative hazard values are nonpositive")
     if not has_closed_inverse(family):
         raise UsageError("tabulated custom transform has no closed-form inverse")
-    out = family.row.inv(u, family.member_params, None)
+    out = family.row.inv(u, family.member_params)
     return out if u.ndim else float(out)
 
 
@@ -288,79 +292,6 @@ def canonical_transform(family: FamilySpec, x):
         return cumulative_hazard(family, x)
     out = cumulative_hazard(family, x)
     return -out if np.ndim(out) else -float(out)
-
-
-# ---------------------------------------------------------------------------
-# sampling / cdf / pdf
-
-
-def _check_theta(theta: float) -> float:
-    theta = float(theta)
-    if not theta > 0:
-        raise DomainError("theta must be > 0")
-    return theta
-
-
-def sample(family: FamilySpec, theta: float, rng: np.random.Generator, size=None):
-    """Draw from F_theta.  Gamma-type members are generated through the
-    Gamma(p, theta) transform representation; hazard families through the
-    exponential representation of the cumulative (reversed) hazard."""
-    theta = _check_theta(theta)
-    if family.kind == Kind.GAMMA_TYPE:
-        y = rng.standard_gamma(family.shape_p, size=size) * theta
-        out = family.row.inv(y, family.member_params, rng)
-    else:
-        if not has_closed_inverse(family):
-            raise UsageError("tabulated custom members do not support sampling")
-        e = rng.standard_exponential(size=size) * theta
-        if family.kind == Kind.PROPORTIONAL_HAZARD:
-            out = cumulative_hazard_inverse(family, e)
-        else:
-            out = cumulative_hazard_inverse(family, -e)
-    if size is None:
-        return float(out)
-    return np.asarray(out)
-
-
-def cdf(family: FamilySpec, theta: float, x):
-    """F_theta(x); 0 below and 1 above the support."""
-    theta = _check_theta(theta)
-    x = np.asarray(x, dtype=float)
-    lo, hi = family.support
-    inside = np.clip(x, lo, hi)
-    if family.kind == Kind.GAMMA_TYPE:
-        out = _law(family, theta).cdf(inside)
-    elif family.kind == Kind.PROPORTIONAL_HAZARD:
-        out = -np.expm1(-canonical_transform(family, inside) / theta)
-    else:
-        out = np.exp(-canonical_transform(family, inside) / theta)
-    out = np.where(x < lo, 0.0, np.where(x > hi, 1.0, out))
-    return out if x.ndim else float(out)
-
-
-def pdf(family: FamilySpec, theta: float, x):
-    """f_theta(x); 0 outside the support."""
-    theta = _check_theta(theta)
-    x = np.asarray(x, dtype=float)
-    lo, hi = family.support
-    outside = (x < lo) | (x > hi)
-    inside = np.clip(x, lo, hi)
-    if family.kind == Kind.GAMMA_TYPE:
-        out = _law(family, theta).pdf(inside)
-    else:
-        out = hazard(family, inside) / theta * np.exp(-canonical_transform(family, inside) / theta)
-    out = np.where(outside, 0.0, out)
-    return out if x.ndim else float(out)
-
-
-def _law(family: FamilySpec, theta: float):
-    """Frozen scipy distribution of a gamma-type member, from its row.
-
-    scipy.stats is imported here, its only use, so that importing the
-    package (and every CLI subcommand) does not pay for it."""
-    from scipy import stats
-
-    return family.row.law(stats, theta, family.shape_p, family.member_params)
 
 
 # ---------------------------------------------------------------------------
@@ -389,10 +320,6 @@ def from_json_dict(doc: dict) -> FamilySpec:
         return FamilySpec(kind, doc["member"], doc.get("p"), params)
     except (KeyError, TypeError, ValueError) as exc:
         raise UsageError(f"bad family document: {exc}") from exc
-
-
-def to_json(family: FamilySpec) -> str:
-    return json.dumps(to_json_dict(family), sort_keys=True)
 
 
 def from_json(text: str) -> FamilySpec:

@@ -96,16 +96,20 @@ def canonical_records(seq, family: families.FamilySpec) -> RecordSet:
     """Records of the canonical (Gamma- or exponential-scale) statistic, the
     scale on which the selection estimators operate.
 
+    Every observation is checked against the family's support first.
     Gamma-type: upper records of S(x), transformed first so that a
     non-monotone S (the zero-mean normal member) stays correct.  Hazard
     family: H applied to the upper records of x.  Reversed-hazard family: -R
     applied to the lower records of x, which are the upper records of the
     exponential statistic -log G(X).
     """
+    # finiteness first, so that an infinite or NaN input is named as such
+    arr = _as_sequence(seq)
     if family.kind == families.Kind.GAMMA_TYPE:
-        # the raw values are checked first: the inverse-Gaussian S maps inf to 0
-        return extract_records(families.s_transform(family, _as_sequence(seq)))
+        # S, applied to every observation, checks the support of each
+        return extract_records(families.s_transform(family, arr))
+    families.check_support(family, arr)
     reversed_hazard = family.kind == families.Kind.PROPORTIONAL_REVERSED_HAZARD
-    raw = extract_records(seq, Direction.LOWER if reversed_hazard else Direction.UPPER)
+    raw = extract_records(arr, Direction.LOWER if reversed_hazard else Direction.UPPER)
     values = families.canonical_transform(family, raw.values)
     return RecordSet(values, raw.times, Direction.UPPER, raw.source_length)

@@ -158,16 +158,52 @@ class TestEstimateCommand:
             2.0 * (a[1]["band_hi"] - a[1]["estimate"]), rel=1e-9)
 
     def test_infinite_canonical_record_is_data_error(self, tmp_path, capsys):
-        """-log G(0) = inf for the beta member: the record 0 has no finite
-        canonical value, so neither estimate nor test writes a result."""
+        """-log G(0) = inf for the beta member: the record 0 lies outside its
+        support, so neither estimate nor test writes a result."""
         seq = tmp_path / "s.txt"
         write_sequence(seq, [0.5, 0.2, 0.0])
         fam = '{"kind": "proportional_reversed_hazard", "member": "beta"}'
         for command in ("estimate", "test"):
             out = tmp_path / command
             assert run(command, "--input", str(seq), "--family", fam, "--out", str(out)) == 3
-            assert "record values must be finite" in capsys.readouterr().err
+            assert "value 0.0 outside support (0.0, 1.0]" in capsys.readouterr().err
             assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("commands, family, values, message", [
+        (("estimate", "test"), '{"kind": "proportional_hazard", "member": "rayleigh"}',
+         [1, -1, 2], "value -1.0 outside support [0.0, inf)"),
+        (("records",), '{"kind": "gamma_type", "member": "inverse_gaussian"}',
+         [1, 0, 2], "value 0.0 outside support (0.0, inf)"),
+        (("estimate",), '{"kind": "proportional_hazard", "member": "pareto", "params": {"beta": 2}}',
+         [3, 1, 4], "value 1.0 outside support [2.0, inf)"),
+        (("estimate",), '{"kind": "proportional_reversed_hazard", "member": "beta"}',
+         [0.5, 1.5, 0.2], "value 1.5 outside support (0.0, 1.0]"),
+    ], ids=["rayleigh", "inverse-gaussian-zero", "pareto-non-record", "beta-non-record"])
+    def test_value_outside_support_is_data_error(self, tmp_path, capsys, commands, family, values, message):
+        seq = tmp_path / "s.txt"
+        write_sequence(seq, values)
+        for command in commands:
+            out = tmp_path / command
+            assert run(command, "--input", str(seq), "--family", family, "--out", str(out)) == 3
+            assert message in capsys.readouterr().err
+            assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("family", [
+        '{"kind": "gamma_type", "member": "normal_zero_mean"}',
+        '{"kind": "gamma_type", "member": "weibull_known_beta", "params": {"beta": 3}}',
+    ], ids=["normal", "weibull"])
+    def test_overflowing_canonical_value_is_data_error(self, tmp_path, capsys, family):
+        """1e200 is finite and inside the support, but S(1e200) is past
+        float64: the error names the overflow, and no numpy warning shows
+        (Tier-1 turns warnings into errors)."""
+        seq = tmp_path / "s.txt"
+        write_sequence(seq, [1, 1e200])
+        out = tmp_path / "o"
+        assert run("estimate", "--input", str(seq), "--family", family, "--out", str(out)) == 3
+        err = capsys.readouterr().err
+        assert "data error: the canonical value of 1e+200 overflows float64" in err
+        assert "Warning" not in err
+        assert list(out.iterdir()) == []
 
     def test_zero_band_factor_is_a_point_band(self, tmp_path):
         out = tmp_path / "o"

@@ -143,6 +143,11 @@ class TestGeneralRiskQuadrature:
         w = estimators.risk_general_phr(lambda t, prev: 0.0, 1.0, 4.0, fam)
         assert w == pytest.approx((4.0 - 1.0) ** 2 / 2.0, rel=1e-12)
 
+    def test_phr_nan_record_is_outside_support(self):
+        fam = families.proportional_hazard(Member.EXPONENTIAL)
+        with pytest.raises(DomainError, match="outside support"):
+            estimators.risk_general_phr(lambda t, prev: t, math.nan, 2.0, fam)
+
     def test_phr_kind_guard(self):
         fam = families.proportional_reversed_hazard(Member.BETA)
         with pytest.raises(UsageError):

@@ -1,6 +1,8 @@
-"""Family catalog: transforms, sampling laws, cdf/pdf consistency."""
+"""Family catalog: transforms and supports, checked against named reference laws."""
 
 import math
+import re
+import zlib
 
 import numpy as np
 import pytest
@@ -58,8 +60,9 @@ class TestTransforms:
             families.s_transform(families.proportional_hazard(Member.EXPONENTIAL), 1.0)
 
     def test_outside_support(self):
-        with pytest.raises(DomainError):
-            families.s_transform(families.gamma_type(Member.RAYLEIGH), -1.0)
+        for x in (-1.0, math.nan):
+            with pytest.raises(DomainError, match=r"outside support \[0.0, inf\)"):
+                families.s_transform(families.gamma_type(Member.RAYLEIGH), x)
 
 
 class TestCumulativeHazard:
@@ -85,8 +88,9 @@ class TestCumulativeHazard:
 
     def test_outside_support(self):
         fam = families.proportional_hazard(Member.CUSTOM, shift=4.0, power=1.9, scale=1.0)
-        with pytest.raises(DomainError):
-            families.cumulative_hazard(fam, 3.5)
+        for x in (3.5, math.nan):
+            with pytest.raises(DomainError):
+                families.cumulative_hazard(fam, x)
 
     @pytest.mark.parametrize("fam", all_model2(), ids=lambda f: f"{f.kind.value}-{f.member.value}")
     def test_nondecreasing(self, fam):
@@ -106,103 +110,129 @@ class TestCumulativeHazard:
         assert families.cumulative_hazard(tab, x) == pytest.approx(
             families.cumulative_hazard(exact, x), rel=1e-3)
         with pytest.raises(UsageError):
-            families.sample(tab, 1.0, RNG(0))
+            families.cumulative_hazard_inverse(tab, 1.0)
+
+
+class TestSupport:
+    @pytest.mark.parametrize("fam, x, support", [
+        (families.gamma_type(Member.INVERSE_GAUSSIAN), 0.0, "(0.0, inf)"),
+        (families.proportional_reversed_hazard(Member.BETA), 0.0, "(0.0, 1.0]"),
+        (families.proportional_reversed_hazard(Member.BETA), 1.5, "(0.0, 1.0]"),
+        (families.proportional_hazard(Member.PARETO, beta=2.0), 1.0, "[2.0, inf)"),
+        (families.gamma_type(Member.NORMAL_ZERO_MEAN), -math.inf, "(-inf, inf)"),
+        (families.gamma_type(Member.INVERSE_GAUSSIAN), math.inf, "(0.0, inf)"),
+        (families.proportional_hazard(Member.EXPONENTIAL), math.nan, "[0.0, inf)"),
+    ], ids=["ig-zero", "beta-zero", "beta-above", "pareto-below", "normal-inf", "ig-inf", "nan"])
+    def test_outside_names_the_support(self, fam, x, support):
+        # an endpoint where the transform is infinite is outside, and so is
+        # every infinite endpoint
+        with pytest.raises(DomainError, match=re.escape(f"outside support {support}")):
+            families.check_support(fam, [0.5, x])
+
+    def test_closed_endpoints_are_inside(self):
+        beta = families.proportional_reversed_hazard(Member.BETA)
+        assert families.check_support(beta, [1.0, 0.5]).tolist() == [1.0, 0.5]
+        pareto = families.proportional_hazard(Member.PARETO, beta=2.0)
+        assert families.check_support(pareto, 2.0) == 2.0
+        tab = families.proportional_reversed_hazard(Member.CUSTOM, table_x=[1.0, 2.0], table_h=[-3.0, 0.0])
+        assert families.check_support(tab, [1.0, 2.0]).tolist() == [1.0, 2.0]
+
+
+def reference_law(fam, theta):
+    """scipy's law of X for the member at theta, written from the named
+    distribution rather than from the member's transform."""
+    a = fam.member_params
+    laws = {
+        (Kind.GAMMA_TYPE, Member.EXPONENTIAL): lambda: stats.expon(scale=theta),
+        (Kind.GAMMA_TYPE, Member.GAMMA): lambda: stats.gamma(fam.shape_p, scale=theta),
+        (Kind.GAMMA_TYPE, Member.NORMAL_ZERO_MEAN): lambda: stats.norm(scale=math.sqrt(theta)),
+        (Kind.GAMMA_TYPE, Member.INVERSE_GAUSSIAN): lambda: stats.levy(scale=1.0 / theta),
+        (Kind.GAMMA_TYPE, Member.WEIBULL_KNOWN_BETA): lambda: stats.weibull_min(
+            a["beta"], scale=theta ** (1.0 / a["beta"])),
+        (Kind.GAMMA_TYPE, Member.RAYLEIGH): lambda: stats.rayleigh(scale=math.sqrt(theta)),
+        (Kind.PROPORTIONAL_HAZARD, Member.EXPONENTIAL): lambda: stats.expon(scale=theta),
+        (Kind.PROPORTIONAL_HAZARD, Member.RAYLEIGH): lambda: stats.rayleigh(scale=math.sqrt(theta)),
+        (Kind.PROPORTIONAL_HAZARD, Member.PARETO): lambda: stats.pareto(1.0 / theta, scale=a["beta"]),
+        (Kind.PROPORTIONAL_HAZARD, Member.BURR): lambda: stats.burr12(a["alpha"], 1.0 / theta),
+        (Kind.PROPORTIONAL_HAZARD, Member.CUSTOM): lambda: stats.weibull_min(
+            a["power"], loc=a["shift"], scale=(a["scale"] * theta) ** (1.0 / a["power"])),
+        (Kind.PROPORTIONAL_REVERSED_HAZARD, Member.BETA): lambda: stats.beta(1.0 / theta, 1.0),
+    }
+    return laws[(fam.kind, fam.member)]()
+
+
+def reference_sample(fam, theta, n):
+    seed = zlib.crc32(repr((fam.kind.value, fam.member.value, fam.shape_p, theta, n)).encode())
+    return reference_law(fam, theta).rvs(size=n, random_state=RNG(seed))
+
+
+def canonical_law(fam, theta):
+    """The law of the canonical statistic: Gamma(p, theta) or Exp(theta)."""
+    if fam.kind == Kind.GAMMA_TYPE:
+        return stats.gamma(fam.shape_p, scale=theta)
+    return stats.expon(scale=theta)
 
 
 class TestSampling:
-    def test_phr_exponential_mean(self):
-        fam = families.proportional_hazard(Member.EXPONENTIAL)
-        x = families.sample(fam, 2.0, RNG(101), size=10**6)
-        h = families.cumulative_hazard(fam, x)
-        assert abs(h.mean() - 2.0) < 0.01
-
-    def test_gamma_p1_mean(self):
-        fam = families.gamma_type(Member.EXPONENTIAL)
-        x = families.sample(fam, 1.0, RNG(102), size=10**6)
-        assert abs(x.mean() - 1.0) < 0.01
-
-    def test_beta_theta1_uniform(self):
-        fam = families.proportional_reversed_hazard(Member.BETA)
-        x = families.sample(fam, 1.0, RNG(103), size=10**6)
-        d = stats.kstest(x, "uniform").statistic
-        assert d < 0.002
-
-    def test_theta_positive(self):
-        fam = families.gamma_type(Member.RAYLEIGH)
-        with pytest.raises(DomainError):
-            families.sample(fam, 0.0, RNG(0))
+    """X drawn from each member's reference law, checked through the
+    member's transform."""
 
     @pytest.mark.parametrize("fam", all_model1(), ids=lambda f: f.member.value + str(f.shape_p))
     @pytest.mark.parametrize("theta", [0.5, 1.0, 5.0])
     def test_model1_transform_moment(self, fam, theta):
         # S(X)/p has mean theta and sd theta/sqrt(p)
         n = 10**5
-        x = families.sample(fam, theta, RNG(hash((fam.member.value, theta)) % 2**31), size=n)
-        s = families.s_transform(fam, x) / fam.shape_p
+        s = families.s_transform(fam, reference_sample(fam, theta, n)) / fam.shape_p
         se = theta / math.sqrt(fam.shape_p * n)
         assert abs(s.mean() - theta) < 4 * se
 
     @pytest.mark.parametrize("fam", all_model2(), ids=lambda f: f"{f.kind.value}-{f.member.value}")
     @pytest.mark.parametrize("theta", [0.7, 3.0])
     def test_model2_probability_integral(self, fam, theta):
-        n = 10**5
-        x = families.sample(fam, theta, RNG(hash((fam.member.value, fam.kind.value, theta)) % 2**31), size=n)
-        u = families.cdf(fam, theta, x)
-        d = stats.kstest(u, "uniform").statistic
-        assert d < 0.01
+        # H(X), or -R(X), is Exp(theta) under the reference law
+        h = families.canonical_transform(fam, reference_sample(fam, theta, 10**5))
+        assert stats.kstest(h, canonical_law(fam, theta).cdf).pvalue > 1e-3
 
     def test_reversed_hazard_exponential_moment(self):
-        # E[-R(X)] = theta holds for the reversed family even though only the
-        # probability-integral check is contract-level
+        # E[-R(X)] = theta for the reversed family
         fam = families.proportional_reversed_hazard(Member.BETA)
         theta = 1.7
-        x = families.sample(fam, theta, RNG(104), size=10**5)
-        w = families.canonical_transform(fam, x)
+        w = families.canonical_transform(fam, reference_sample(fam, theta, 10**5))
         assert abs(w.mean() - theta) < 4 * theta / math.sqrt(10**5)
+
+    @pytest.mark.parametrize("fam", all_model2(), ids=lambda f: f"{f.kind.value}-{f.member.value}")
+    def test_inverse_undoes_the_transform(self, fam):
+        assert families.has_closed_inverse(fam)
+        x = reference_sample(fam, 1.0, 1000)
+        back = families.cumulative_hazard_inverse(fam, families.cumulative_hazard(fam, x))
+        assert back == pytest.approx(x, rel=1e-9)
 
 
 class TestCdfPdf:
-    def test_exponential_value(self):
-        fam = families.proportional_hazard(Member.EXPONENTIAL)
-        assert families.cdf(fam, 2.0, 2.0) == pytest.approx(1.0 - math.exp(-1.0))
+    """The reference law's cdf and pdf against the member's transform and
+    its derivative."""
 
-    def test_rainfall_fitted_cdf(self):
-        fam = families.proportional_hazard(Member.CUSTOM, shift=4.0, power=1.9, scale=1.0)
-        assert families.cdf(fam, 113.23, 4.0) == 0.0
-        expected = 1.0 - math.exp(-(10.0**1.9) / 113.23)
-        assert families.cdf(fam, 113.23, 14.0) == pytest.approx(expected, rel=1e-12)
-
-    def test_outside_support(self):
-        fam = families.proportional_hazard(Member.PARETO, beta=2.0)
-        assert families.cdf(fam, 1.0, 1.0) == 0.0
-        assert families.pdf(fam, 1.0, 1.0) == 0.0
-        beta = families.proportional_reversed_hazard(Member.BETA)
-        assert families.cdf(beta, 1.0, 2.0) == 1.0
+    @pytest.mark.parametrize("fam", all_model1(), ids=lambda f: f.member.value + str(f.shape_p))
+    def test_model1_cdf_matches_sample(self, fam):
+        for theta in (0.7, 3.0):
+            s = families.s_transform(fam, reference_sample(fam, theta, 10**5))
+            assert stats.kstest(s, canonical_law(fam, theta).cdf).pvalue > 1e-3
 
     @pytest.mark.parametrize("fam", all_model1() + all_model2(),
                              ids=lambda f: f"{f.kind.value}-{f.member.value}-{f.shape_p}")
     def test_pdf_is_cdf_derivative(self, fam):
+        # the density the transform t implies, g(t(x)) |t'(x)| with g the
+        # canonical law's density, halved for the two roots of the normal's
+        # S, is the derivative of the reference cdf
         theta = 1.3
-        qs = np.linspace(0.05, 0.9, 20)
-        if fam.kind == Kind.GAMMA_TYPE:
-            xs = np.quantile(families.sample(fam, theta, RNG(9), size=20000), qs)
-        else:
-            lo, hi = fam.support
-            hi = hi if np.isfinite(hi) else np.quantile(
-                families.sample(fam, theta, RNG(9), size=20000), 0.95)
-            xs = lo + (hi - lo) * qs
-        for x in xs:
+        law = reference_law(fam, theta)
+        roots = 2.0 if fam.member == Member.NORMAL_ZERO_MEAN else 1.0
+        for x in law.ppf(np.linspace(0.05, 0.9, 20)):
             h = 1e-6 * max(1.0, abs(x))
-            num = (families.cdf(fam, theta, x + h) - families.cdf(fam, theta, x - h)) / (2 * h)
-            pdf = families.pdf(fam, theta, x)
+            num = (law.cdf(x + h) - law.cdf(x - h)) / (2 * h)
+            pdf = (canonical_law(fam, theta).pdf(families.canonical_transform(fam, x))
+                   * abs(families.hazard(fam, x)) / roots)
             assert num == pytest.approx(pdf, rel=1e-4, abs=1e-10)
-
-    @pytest.mark.parametrize("fam", all_model1(), ids=lambda f: f.member.value + str(f.shape_p))
-    def test_model1_cdf_matches_sample(self, fam):
-        theta = 2.3
-        x = families.sample(fam, theta, RNG(33), size=10**5)
-        u = families.cdf(fam, theta, x)
-        assert stats.kstest(u, "uniform").statistic < 0.01
 
 
 class TestSpecAndJson:

@@ -93,7 +93,8 @@ class TestTransformed:
             assert np.array_equal(direct.times, upper.times)
 
     def test_raw_values_are_checked_before_s(self):
-        # the inverse-Gaussian S maps inf to 0, which would pass as a value
+        # inf is named as non-finite, not as outside the support (the
+        # inverse-Gaussian S would map it to 0)
         fam = families.gamma_type(Member.INVERSE_GAUSSIAN)
         with pytest.raises(DataError, match="non-finite"):
             records.canonical_records([1.0, np.inf], fam)
@@ -118,9 +119,9 @@ class TestCanonical:
         assert np.all(np.diff(canon.values) > 0)
 
     def test_infinite_canonical_value_rejected(self):
-        # -log G(0) = inf for the beta member
+        # -log G(0) = inf for the beta member, so 0 lies outside its support
         fam = families.proportional_reversed_hazard(Member.BETA)
-        with pytest.raises(DataError, match="record values must be finite"):
+        with pytest.raises(DataError, match=r"value 0.0 outside support \(0.0, 1.0\]"):
             records.canonical_records([0.5, 0.2, 0.0], fam)
 
 
