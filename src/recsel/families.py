@@ -91,6 +91,15 @@ def _check_table(kind: Kind, a: dict) -> dict:
     return {"table_x": tuple(map(float, xs)), "table_h": tuple(map(float, hs))}
 
 
+def _burr_h(x, a):
+    """H(x) = log1p(x**alpha); where x**alpha overflows, the same value as
+    alpha*log(x) + log1p(x**-alpha)."""
+    xa = x ** a["alpha"]
+    big = np.isinf(xa)
+    xb = np.where(big, x, 1.0)
+    return np.where(big, a["alpha"] * np.log(xb) + np.log1p(xb ** -a["alpha"]), np.log1p(xa))
+
+
 # formulas exponential and Rayleigh members share across kinds
 _IDENTITY = _Row(lambda x, a: x, lambda x, a: np.ones_like(x), lambda u, a: u)
 _HALF_SQUARE = _Row(lambda x, a: x * x / 2.0, lambda x, a: x, lambda u, a: np.sqrt(2.0 * u))
@@ -116,7 +125,7 @@ _ROWS = {
         lambda x, a: np.log(x / a["beta"]), lambda x, a: 1.0 / x,
         lambda u, a: a["beta"] * np.exp(u), ("beta",), support=lambda a: (a["beta"], math.inf)),
     (Kind.PROPORTIONAL_HAZARD, Member.BURR): _Row(
-        lambda x, a: np.log1p(x ** a["alpha"]),
+        _burr_h,
         lambda x, a: a["alpha"] * x ** (a["alpha"] - 1.0) / (1.0 + x ** a["alpha"]),
         lambda u, a: np.expm1(u) ** (1.0 / a["alpha"]), ("alpha",)),
     # parametric custom transform H(x) = ((x - shift)**power)/scale

@@ -26,7 +26,7 @@ _FIRST_BLOCK = 64
 _MAX_BLOCK = 65536
 _BATCH_ELEMENTS = 4096  # observations per (rows x block) matrix, at least one row
 _BATCH_ROWS = _BATCH_ELEMENTS // _FIRST_BLOCK  # replicates per batch
-STREAM_LAYOUT = 1  # version of the replicate-to-stream mapping
+STREAM_LAYOUT = 2  # version of the replicate-to-stream mapping
 _MAX_TIME = 2**62  # latest record time a record chain stores in int64
 MAX_TRUNCATION_FRACTION = 0.01
 

@@ -205,6 +205,18 @@ class TestEstimateCommand:
         assert "Warning" not in err
         assert list(out.iterdir()) == []
 
+    def test_burr_power_past_float64_keeps_a_finite_hazard(self, tmp_path):
+        """x**alpha overflows at x = 1e250, alpha = 1.5, but H = log1p(x**alpha)
+        is about 1.5 log x = 863.47: the estimate uses that value."""
+        seq = tmp_path / "s.txt"
+        write_sequence(seq, [1, 1e250])
+        out = tmp_path / "o"
+        family = '{"kind": "proportional_hazard", "member": "burr", "params": {"alpha": 1.5}}'
+        assert run("estimate", "--input", str(seq), "--family", family, "--out", str(out)) == 0
+        rows = json.loads((out / "estimates.json").read_text())
+        # the nonstationary UMVUE at n = 2 is H(R_2) - H(R_1), with H(1) = log 2
+        assert rows[1]["estimate"] == pytest.approx(1.5 * np.log(1e250) - np.log(2), rel=1e-12)
+
     def test_zero_band_factor_is_a_point_band(self, tmp_path):
         out = tmp_path / "o"
         assert run("estimate", "--input", "lacc-rainfall-records", "--family", RAIN_FAMILY,
@@ -318,7 +330,7 @@ class TestSimulateCommand:
                 "geometric_exponent_clamped": 0,
                 "white_noise_redraws": 0,
                 "sampler": sampler,
-                "stream_layout": 1,
+                "stream_layout": 2,
                 "non_finite_cells": 0,
             }
             assert counters["observations_per_replicate"]["max"] > counters["observations_per_replicate"]["p50"]

@@ -2,7 +2,8 @@
 run at fixed seeds, must keep the exact bytes recorded in GOLDEN.  The
 digests were taken before the CLI, the simulation summary and the critical
 value table shared one output writer; a change that moves an output byte
-fails here, or records new digests and says why.
+fails here, or records new digests and says why.  The simulate-* digests
+are those of stream layout 2 (replicate streams by Philox counter jumps).
 
 Each run works in a fresh directory with relative paths, so manifests name
 their inputs the same way everywhere; the one absolute path left, that of
@@ -104,34 +105,34 @@ GOLDEN = {
         "records.csv": "9143eaf924d4406edb5c91a837669730493222f457455d266a1c72082398f1ad",
     },
     "simulate-ar": {
-        "manifest.json": "432909b23517e097780217c6ca1310b7997ed7f6b4a58bb94d259fdaf40e1969",
-        "simulate_summary.csv": "8c639b750679b320ca934048541d87ee1c1e8f2fe89c8802a71d7bad93edbe53",
-        "simulate_summary.json": "47bbe0e6683fc89a90ca4fdfdf17901e605e891c473fe05d7a8ba89a73dce4c5",
+        "manifest.json": "3cb70297daaa93c7d15e331e391d7ccaee8b10c0fa0648b21590bce10979342a",
+        "simulate_summary.csv": "e85cc41d6986ddee5921fde21ca67155a707c1c0a2781b8897b7bea32db24bca",
+        "simulate_summary.json": "0955dac05557d765525af87ca0a82e8f5ea7ecc82c9c3025cce808024c8f6ce5",
     },
     "simulate-constant-chain": {
-        "manifest.json": "75c33e744ba55b6753f6e30aab0d6d124e1a8f0d17628c695ada04f76af44a5d",
-        "simulate_summary.csv": "42ac2ea9a765de7fd16da04a669c9c6072b25756ffebf97806d700c442ef0618",
-        "simulate_summary.json": "c11cc6fa282df3a425e7acfc5e3214bed6a59c6befec1172297bb9f4d228edd8",
+        "manifest.json": "997c520e0989244f9a8bb786e97d2d1484c0604839629e118a2bb7ff7a21374f",
+        "simulate_summary.csv": "658b2cb50b6b6f9cb954a1b39d2d0d5916970f6f1f114b7b28440cbacc3a806e",
+        "simulate_summary.json": "43e01354a35f5494b8eb9456b2113e31752b104f5fbcf235323eb45096360e65",
     },
     "simulate-gamma-constant": {
-        "manifest.json": "9ae1fd3a348692d18b1daaca9894085195f7c4600285bc43f48c1ea4eec70172",
-        "simulate_summary.csv": "5ad12583e5b88110be4d1d570887465863b61ea4da5bf337b5a1b9705c2f8771",
-        "simulate_summary.json": "4c16fb1826af2e92fd4676345c14fd98d9a663157fbbaad864b0f83c914e122f",
+        "manifest.json": "0cf8336fdb7bc697f67a600003923206478bca153cdccc2ef2a3d28bdde8c034",
+        "simulate_summary.csv": "bee8a2cd419ce55c41b213c72f0e5da02aa8c8af0a01ee477fbaa46b3549c79a",
+        "simulate_summary.json": "cffbe28b450b30ef109749efbece4ff94970d7a90bbcf50b94ca31e8ca0416a9",
     },
     "simulate-geometric": {
-        "manifest.json": "04536df147acb6fef6504544fbad7ab97c8386688b4530212bdf7a4aabc9f03a",
-        "simulate_summary.csv": "e3e16d820ca866f880e6df26361ccea0fc724c681a8b4ac778a5607938f074d6",
-        "simulate_summary.json": "6850ed5e335208ba435c75a84ad84731618be1dd01dc36ab0fc114148a76f254",
+        "manifest.json": "204789cfb4faa8161fc0f982c10fd3cbc721311d9c0918a513c741f8ae8dfb66",
+        "simulate_summary.csv": "c2ccc53e054824d376ade0a44dda541cad62830d6b83eb6205518a794ea4df21",
+        "simulate_summary.json": "751898b3eebfbd31c5ffb90750de0a5af7cfa7fe42c753586c9f8958ba6a3bb5",
     },
     "simulate-user-supplied": {
-        "manifest.json": "74f422a4a3becc287662141ac5ed745ddde69f9b6f385bb38ebb5037e8068821",
-        "simulate_summary.csv": "886aba8b6b08bbd1a6bb1eb5038ba7a88210ca3d59b041db1b1dd06de39d3df9",
-        "simulate_summary.json": "4435b22eb2d549f5de9291739b8198e3fee66edf9d22bb12f9d0520cc0c3b450",
+        "manifest.json": "f9ce1da4115e54b9f1c199c8779a80d0e29095b27d264c5094ee71fad3b761e2",
+        "simulate_summary.csv": "2501195be9508696d3531f0f2f7eb116527291ba1a04996b51bd0743f54783f9",
+        "simulate_summary.json": "8e5e63c6cda5912b0b15a1600e86477b5e9ec6f3e60e8722b882a42550b2adad",
     },
     "simulate-white-noise": {
-        "manifest.json": "daa187e2a5ebce5ee6a0c8ec7dc16b72f963888af732deb5eb2a6530564ece4f",
-        "simulate_summary.csv": "d08f0750131289240fe7671ad69ca44db2d257625989af79c42a6ec1bf5277ff",
-        "simulate_summary.json": "18481f1cf27b86e47bb765225a531a17ba51b4c6a415dc16b27a51f87b2ebebd",
+        "manifest.json": "9e752b2e2209cdc7359d7074287071e0e19f856974e7ed9d9c93a0a15ed005a9",
+        "simulate_summary.csv": "1d743b11c01eff4e59d7579fb4d4e72c55dcdab883577630e5b9f56f5a599b3b",
+        "simulate_summary.json": "4ca37f4be82b108ce37b36988c7e0327c1f4f24837452598da0a82fea0629c93",
     },
     "test-gamma-p1": {
         "manifest.json": "3ca59dc61431fc6654fb2d1fdfb2e5d56e5d639a4dd438f57825de170dd0e21d",

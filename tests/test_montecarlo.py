@@ -398,11 +398,11 @@ def reference_simulate(config: SimulationConfig) -> montecarlo.SimulationDraws:
     observations = np.zeros(reps, dtype=np.int64)
     user = config.theta_model.scheme == Scheme.USER_SUPPLIED
     departures = 0
+    # built from numpy directly, not through recsel.streams, so that the
+    # engine's run key, counter jumps and generator reuse are checked too
+    key = np.random.SeedSequence(config.master_seed).generate_state(2, np.uint64)
     for r in range(reps):
-        # built from numpy directly, not through recsel.streams, so that the
-        # engine's stream keys and generator reuse are checked too
-        rng = np.random.Generator(np.random.Philox(
-            np.random.SeedSequence(config.master_seed, spawn_key=(r,))))
+        rng = np.random.Generator(np.random.Philox(key=key).jumped(r))
         stream = reference_thetas(config.theta_model, rng)
         next(stream)
         found, offset, cur_max, sinv_carry, block = 0, 0, -np.inf, 0.0, montecarlo._FIRST_BLOCK

@@ -1,53 +1,31 @@
-"""Replicate streams: vectorised SeedSequence keys and reused generators."""
+"""Replicate streams: Philox counter jumps from one run key, and reused
+generators, checked against numpy's own `Philox(key=...).jumped(r)`."""
+
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from recsel import streams
 from recsel.streams import replicate_stream
 
-# word-count edges of the master seed: one word, two, three (padded to the
-# pool), exactly the pool's four, and more words than the pool holds
-SEED_EDGES = [0, 1, 2**32 - 1, 2**32, 2**64, 2**96 - 1, 2**96, 2**128 - 1, 2**128,
-              2**128 + 12345, 2**200 + 7]
-# spawn-word edges: block boundaries up to the last one-word index, and from
-# 2**32 (two words) on, where keys come from numpy's own SeedSequence
-INDEX_EDGES = [0, 1, streams._KEY_BLOCK - 1, streams._KEY_BLOCK, 2**32 - streams._KEY_BLOCK,
-               2**32 - 1, 2**32, 2**32 + streams._KEY_BLOCK, 2**64, 2**70 + 3]
+# master seeds of one word, two, exactly the pool's four, and more words
+# than SeedSequence's pool holds
+SEED_EDGES = [0, 1, 2**32 - 1, 2**32, 2**64, 2**128, 2**200 + 7]
+# counter edges: word 2 alone, its last value, the carry into word 3 and
+# indices that need word 3
+INDEX_EDGES = [0, 1, 2**32, 2**64 - 1, 2**64, 2**64 + 5, 2**70 + 3]
 
 SEEDS = st.one_of(st.sampled_from(SEED_EDGES), st.integers(0, 2**32 - 1), st.integers(0, 2**260))
-INDICES = st.one_of(st.sampled_from(INDEX_EDGES), st.integers(0, 10**6), st.integers(0, 2**32 - 1),
-                    st.integers(0, 2**66))
+INDICES = st.one_of(st.sampled_from(INDEX_EDGES), st.integers(0, 10**6), st.integers(0, 2**66))
 
 
 def fresh(master_seed, r):
-    return np.random.Generator(np.random.Philox(np.random.SeedSequence(master_seed, spawn_key=(r,))))
-
-
-def numpy_key(master_seed, r):
-    return np.random.SeedSequence(master_seed, spawn_key=(r,)).generate_state(2, np.uint64).tolist()
-
-
-@settings(max_examples=300, deadline=None)
-@given(seed=SEEDS, r=INDICES)
-def test_vectorised_keys_equal_seed_sequence(seed, r):
-    block, i = divmod(r, streams._KEY_BLOCK)
-    assert streams._key_block(seed, block)[i] == numpy_key(seed, r)
-
-
-@pytest.mark.parametrize("seed", SEED_EDGES)
-@pytest.mark.parametrize("r", INDEX_EDGES)
-def test_key_edges(seed, r):
-    block, i = divmod(r, streams._KEY_BLOCK)
-    assert streams._key_block(seed, block)[i] == numpy_key(seed, r)
-
-
-def test_whole_block_matches():
-    keys = streams._key_block(20260810, 3)
-    first = 3 * streams._KEY_BLOCK
-    assert keys == [numpy_key(20260810, r) for r in range(first, first + streams._KEY_BLOCK)]
+    """Replicate r's stream as numpy builds it: the run key, jumped r times."""
+    key = np.random.SeedSequence(master_seed).generate_state(2, np.uint64)
+    return np.random.Generator(np.random.Philox(key=key).jumped(r))
 
 
 def draw(rng, op, size):
@@ -85,22 +63,56 @@ def test_reused_generator_draws_as_a_fresh_one(seed, r, before, after):
         assert draw(reused, op, size).tobytes() == draw(new, op, size).tobytes(), op
 
 
+@pytest.mark.parametrize("seed", [0, 2**32, 2**128, 2**200 + 7])
+@pytest.mark.parametrize("r", INDEX_EDGES)
+def test_edges_match_numpy_jumps(seed, r):
+    """Fresh and reused streams at the seed and counter-word edges."""
+    expect = fresh(seed, r).random(5).tobytes()
+    assert replicate_stream(seed, r).random(5).tobytes() == expect
+    reused = fresh(1, 1)
+    reused.random(3)
+    assert replicate_stream(seed, r, reused).random(5).tobytes() == expect
+
+
 def test_without_reuse_builds_the_seed_sequence_stream():
+    """A new generator on the run key from SeedSequence(master_seed)."""
     a, b = replicate_stream(5, 9), fresh(5, 9)
     assert a.random(6).tobytes() == b.random(6).tobytes()
     assert replicate_stream(5, 9) is not replicate_stream(5, 9)
 
 
-def test_interleaved_seeds_and_blocks():
-    """The per-thread key block is replaced when the seed or block changes."""
+def test_interleaved_seeds():
+    """Seeds that alternate, more of them than the key memo holds, each get
+    their own key."""
     g = fresh(0, 0)
-    for seed, r in [(1, 0), (2, 0), (1, 300), (1, 1), (2**100, 1), (1, 1)]:
-        replicate_stream(seed, r, g)
-        assert g.random(3).tobytes() == fresh(seed, r).random(3).tobytes()
+    seeds = [1, 2, 1, 2**100, 3, 4, 5, 6, 1, 2**100, 2, 1]
+    for i, seed in enumerate(seeds):
+        replicate_stream(seed, i % 3, g)
+        assert g.random(3).tobytes() == fresh(seed, i % 3).random(3).tobytes()
+
+
+def test_threads_share_the_key_memo():
+    """Worker threads resetting streams of six seeds at once, more than the
+    memo holds, each get their own seed's key."""
+    def work(t):
+        g = fresh(0, 0)
+        return all(replicate_stream((t + i) % 6, i, g).random(2).tobytes()
+                   == fresh((t + i) % 6, i).random(2).tobytes() for i in range(150))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(8) as pool:
+            done = list(pool.map(work, range(8), timeout=120))
+    finally:
+        sys.setswitchinterval(interval)
+    assert done == [True] * 8
 
 
 def test_negative_seed_is_rejected_like_numpy():
     with pytest.raises(ValueError, match="expected non-negative integer"):
-        np.random.SeedSequence(-1, spawn_key=(0,))
+        np.random.SeedSequence(-1)
     with pytest.raises(ValueError, match="expected non-negative integer"):
         replicate_stream(-1, 0, fresh(0, 0))
+    with pytest.raises(ValueError, match="expected non-negative integer"):
+        replicate_stream(-1, 0)
