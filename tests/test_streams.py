@@ -11,12 +11,14 @@ from hypothesis import strategies as st
 
 from recsel.streams import replicate_stream
 
-# master seeds of one word, two, exactly the pool's four, and more words
-# than SeedSequence's pool holds
-SEED_EDGES = [0, 1, 2**32 - 1, 2**32, 2**64, 2**128, 2**200 + 7]
-# counter edges: word 2 alone, its last value, the carry into word 3 and
-# indices that need word 3
-INDEX_EDGES = [0, 1, 2**32, 2**64 - 1, 2**64, 2**64 + 5, 2**70 + 3]
+# word-count edges of the master seed: one word, two, three (padded to the
+# pool), exactly the pool's four, and more words than the pool holds
+SEED_EDGES = [0, 1, 2**32 - 1, 2**32, 2**64, 2**96 - 1, 2**96, 2**128 - 1, 2**128,
+              2**128 + 12345, 2**200 + 7]
+# counter edges: small indices, the 32-bit word boundary, word 2's last
+# value, the carry into word 3 and indices that need word 3
+INDEX_EDGES = [0, 1, 255, 256, 2**32 - 256, 2**32 - 1, 2**32, 2**32 + 256, 2**64 - 1, 2**64,
+               2**64 + 5, 2**70 + 3]
 
 SEEDS = st.one_of(st.sampled_from(SEED_EDGES), st.integers(0, 2**32 - 1), st.integers(0, 2**260))
 INDICES = st.one_of(st.sampled_from(INDEX_EDGES), st.integers(0, 10**6), st.integers(0, 2**66))
@@ -63,10 +65,15 @@ def test_reused_generator_draws_as_a_fresh_one(seed, r, before, after):
         assert draw(reused, op, size).tobytes() == draw(new, op, size).tobytes(), op
 
 
-@pytest.mark.parametrize("seed", [0, 2**32, 2**128, 2**200 + 7])
+@pytest.mark.parametrize("seed", SEED_EDGES)
 @pytest.mark.parametrize("r", INDEX_EDGES)
-def test_edges_match_numpy_jumps(seed, r):
-    """Fresh and reused streams at the seed and counter-word edges."""
+def test_key_edges(seed, r):
+    """Fresh and reused streams at the seed and counter-word edges: the run
+    key from SeedSequence(seed), the counter jumped r times."""
+    key = np.random.SeedSequence(seed).generate_state(2, np.uint64).tolist()
+    state = replicate_stream(seed, r).bit_generator.state["state"]
+    assert list(state["key"]) == key
+    assert list(state["counter"]) == [0, 0, r % 2**64, r >> 64]
     expect = fresh(seed, r).random(5).tobytes()
     assert replicate_stream(seed, r).random(5).tobytes() == expect
     reused = fresh(1, 1)
@@ -81,14 +88,17 @@ def test_without_reuse_builds_the_seed_sequence_stream():
     assert replicate_stream(5, 9) is not replicate_stream(5, 9)
 
 
-def test_interleaved_seeds():
+def test_interleaved_seeds_and_blocks():
     """Seeds that alternate, more of them than the key memo holds, each get
-    their own key."""
+    their own key; indices that alternate between counter words each get
+    their own counter."""
     g = fresh(0, 0)
     seeds = [1, 2, 1, 2**100, 3, 4, 5, 6, 1, 2**100, 2, 1]
+    blocks = [0, 300, 1, 2**64 + 1, 2, 2**32]
     for i, seed in enumerate(seeds):
-        replicate_stream(seed, i % 3, g)
-        assert g.random(3).tobytes() == fresh(seed, i % 3).random(3).tobytes()
+        r = blocks[i % len(blocks)]
+        replicate_stream(seed, r, g)
+        assert g.random(3).tobytes() == fresh(seed, r).random(3).tobytes()
 
 
 def test_threads_share_the_key_memo():
