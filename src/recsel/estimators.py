@@ -111,9 +111,18 @@ def natural_gamma(u_curr, p: float):
 
 
 def _gamma_second_moment_term(u_prev, u_curr, p):
-    """Unbiased estimator of the squared selected parameter."""
-    num = u_curr ** (p + 1.0) - u_prev ** (p + 1.0) - (p + 1.0) * u_prev**p * (u_curr - u_prev)
-    return num / (p * (p + 1.0) * u_curr ** (p - 1.0))
+    """Unbiased estimator of the squared selected parameter.  Where the
+    powers of u overflow, the same value scaled by r = u_prev/u:
+    u^2 (1 - r^(p+1) - (p+1) r^p (1 - r)) / (p (p+1))."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        num = u_curr ** (p + 1.0) - u_prev ** (p + 1.0) - (p + 1.0) * u_prev**p * (u_curr - u_prev)
+        out = num / (p * (p + 1.0) * u_curr ** (p - 1.0))
+        bad = ~np.isfinite(out)
+        if np.any(bad):
+            r = u_prev / u_curr
+            scaled = u_curr * u_curr * (1.0 - r ** (p + 1.0) - (p + 1.0) * r**p * (1.0 - r))
+            out = np.where(bad, scaled / (p * (p + 1.0)), out)
+    return out
 
 
 def risk_umvue_gamma(u_prev, u_curr, p: float):
@@ -261,13 +270,17 @@ def estimate_path(canonical: RecordSet, family: families.FamilySpec, stationary:
     reports = []
     for n in range(1, len(canonical) + 1):
         curr = float(values[n - 1])
-        if stationary:
-            estimate = curr / n
-            risk = curr * curr / (n * n * (n + 1.0))
-        else:
-            prev = float(values[n - 2]) if n > 1 else 0.0
-            estimate = evaluate(est_id, prev, curr, family.shape_p)
-            risk = evaluate(est_id, prev, curr, family.shape_p, risk=True)
+        with np.errstate(over="ignore", invalid="ignore"):
+            if stationary:
+                estimate = curr / n
+                risk = curr * curr / (n * n * (n + 1.0))
+            else:
+                prev = float(values[n - 2]) if n > 1 else 0.0
+                estimate = evaluate(est_id, prev, curr, family.shape_p)
+                risk = evaluate(est_id, prev, curr, family.shape_p, risk=True)
+        if math.isnan(estimate) or math.isnan(risk):
+            raise NumericError(f"the estimate or risk estimate at n={n} is NaN: "
+                               f"its terms overflow float64")
         reports.append(EstimateReport(est_id, n, estimate, risk,
                                       _make_band(estimate, risk, band_factor), band_factor))
     return reports

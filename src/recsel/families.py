@@ -100,6 +100,17 @@ def _burr_h(x, a):
     return np.where(big, a["alpha"] * np.log(xb) + np.log1p(xb ** -a["alpha"]), np.log1p(xa))
 
 
+def _burr_h_inverse(u, a):
+    """H^-1(u) = expm1(u)**(1/alpha); where expm1(u) overflows, the same value
+    as exp(u/alpha) * (-expm1(-u))**(1/alpha)."""
+    with np.errstate(over="ignore"):
+        e = np.expm1(u)
+    big = np.isinf(e)
+    ub = np.where(big, u, 0.0)
+    return np.where(big, np.exp(ub / a["alpha"]) * (-np.expm1(-ub)) ** (1.0 / a["alpha"]),
+                    e ** (1.0 / a["alpha"]))
+
+
 # formulas exponential and Rayleigh members share across kinds
 _IDENTITY = _Row(lambda x, a: x, lambda x, a: np.ones_like(x), lambda u, a: u)
 _HALF_SQUARE = _Row(lambda x, a: x * x / 2.0, lambda x, a: x, lambda u, a: np.sqrt(2.0 * u))
@@ -127,7 +138,7 @@ _ROWS = {
     (Kind.PROPORTIONAL_HAZARD, Member.BURR): _Row(
         _burr_h,
         lambda x, a: a["alpha"] * x ** (a["alpha"] - 1.0) / (1.0 + x ** a["alpha"]),
-        lambda u, a: np.expm1(u) ** (1.0 / a["alpha"]), ("alpha",)),
+        _burr_h_inverse, ("alpha",)),
     # parametric custom transform H(x) = ((x - shift)**power)/scale
     (Kind.PROPORTIONAL_HAZARD, Member.CUSTOM): _Row(
         lambda x, a: (x - a["shift"]) ** a["power"] / a["scale"],

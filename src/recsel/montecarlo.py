@@ -23,10 +23,10 @@ from .records import record_mask
 from .streams import replicate_stream
 
 _FIRST_BLOCK = 64
-_MAX_BLOCK = 65536
+_MAX_BLOCK = 16384  # blocks double up to this size, then stay: a long-block row holds ~1 MB
 _BATCH_ELEMENTS = 4096  # observations per (rows x block) matrix, at least one row
 _BATCH_ROWS = _BATCH_ELEMENTS // _FIRST_BLOCK  # replicates per batch
-STREAM_LAYOUT = 2  # version of the replicate-to-stream mapping
+STREAM_LAYOUT = 3  # version of the replicate-to-stream mapping and block schedule
 _MAX_TIME = 2**62  # latest record time a record chain stores in int64
 MAX_TRUNCATION_FRACTION = 0.01
 
@@ -146,8 +146,11 @@ def _affine_scan(mult: np.ndarray, add: np.ndarray) -> tuple[np.ndarray, np.ndar
     Returns (A, C) with x_i = A_i * x_0 + C_i.  Affine composition is
     associative, so a logarithmic-depth pass replaces the sequential loop;
     each row of a 2-d input is scanned with the same association as alone.
+    The inputs, C-contiguous float64 arrays, are overwritten: the scan works
+    in them and in two buffers of their size, and A and C may be any two of
+    those four.
     """
-    A, C = np.array(mult, dtype=float, order="C"), np.array(add, dtype=float, order="C")
+    A, C = mult, add
     A2, C2 = np.empty_like(A), np.empty_like(C)  # each step writes these, then they swap
     # flat views: a shift by step crosses rows only in the first step
     # columns of each row, which keep their values and are copied instead
@@ -203,7 +206,7 @@ class ThetaStream:
             for rng, z_row, eps_row in zip(rngs, z, eps):
                 rng.random(out=z_row)
                 rng.standard_exponential(out=eps_row)
-            out, C = _affine_scan(z, eps)
+            out, C = _affine_scan(z, eps)  # scans in z and eps, which are not read again
             out *= self._ar_prev[rows, None]
             out += C
             self._ar_prev[rows] = out[:, -1]
@@ -465,7 +468,8 @@ def _simulate_rows(config: SimulationConfig, start: int, stop: int, draws: Simul
                 else:
                     rngs[i].standard_exponential(out=y_row)
             y *= theta
-            sinv = np.cumsum(1.0 / theta, axis=1)
+            sinv = np.divide(1.0, theta)
+            np.cumsum(sinv, axis=1, out=sinv)
             sinv += sinv_carry[rows, None]
             sinv_carry[rows] = sinv[:, -1]
             mask, extreme[rows] = record_mask(y, extreme[rows])
@@ -490,6 +494,8 @@ def _simulate_rows(config: SimulationConfig, start: int, stop: int, draws: Simul
                 used = np.full(rows.size, b)
                 used[rec_row[last]] = rec_col[last] + 1
                 departures += int(np.count_nonzero(hit & (np.arange(b) < used[:, None])))
+            # free this group's block before the next group draws its own
+            del theta, y, sinv, mask, hit
         offset += b
         block = min(block * 2, _MAX_BLOCK)
         live = live[found[live] < n_target]

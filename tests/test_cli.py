@@ -217,6 +217,35 @@ class TestEstimateCommand:
         # the nonstationary UMVUE at n = 2 is H(R_2) - H(R_1), with H(1) = log 2
         assert rows[1]["estimate"] == pytest.approx(1.5 * np.log(1e250) - np.log(2), rel=1e-12)
 
+    def test_large_gamma_shape_keeps_a_finite_risk(self, tmp_path, capsys):
+        """u**(p+1) overflows at p = 2000 from u = 2 on; the second-moment term
+        is then taken scaled by u_prev/u, so the risk estimates stay finite
+        (v^2 minus that term: 4.9975e-10 and 1.12444e-09 at n = 2 and 3)."""
+        seq = tmp_path / "s.txt"
+        write_sequence(seq, [1, 2, 3])
+        out = tmp_path / "o"
+        family = '{"kind": "gamma_type", "member": "gamma", "p": 2000}'
+        assert run("estimate", "--input", str(seq), "--family", family, "--out", str(out)) == 0
+        assert "Warning" not in capsys.readouterr().err
+        risks = [r["risk_estimate"] for r in json.loads((out / "estimates.json").read_text())]
+        u, r = np.array([2.0, 3.0]), np.array([0.5, 2 / 3])
+        v = u / 2000 * (1 - r**2000)
+        term = u * u * (1 - r**2001 - 2001 * r**2000 * (1 - r)) / (2000 * 2001)
+        assert risks[1:] == pytest.approx(v * v - term, rel=1e-9)
+        assert risks[1:] == pytest.approx([5.0e-10, 1.1e-9], rel=0.03)
+
+    def test_nan_risk_is_a_numeric_error_naming_n(self, tmp_path, capsys):
+        """At u = 1e200 and p = 2000 even the scaled terms overflow, and the
+        risk at n = 1 is inf - inf: exit 4 names n, not the band."""
+        seq = tmp_path / "s.txt"
+        write_sequence(seq, [1e200, 2e200, 3e200])
+        out = tmp_path / "o"
+        family = '{"kind": "gamma_type", "member": "gamma", "p": 2000}'
+        assert run("estimate", "--input", str(seq), "--family", family, "--out", str(out)) == 4
+        err = capsys.readouterr().err
+        assert "numeric error: the estimate or risk estimate at n=1 is NaN" in err
+        assert "band" not in err and "Warning" not in err
+
     def test_zero_band_factor_is_a_point_band(self, tmp_path):
         out = tmp_path / "o"
         assert run("estimate", "--input", "lacc-rainfall-records", "--family", RAIN_FAMILY,
@@ -330,7 +359,7 @@ class TestSimulateCommand:
                 "geometric_exponent_clamped": 0,
                 "white_noise_redraws": 0,
                 "sampler": sampler,
-                "stream_layout": 2,
+                "stream_layout": 3,
                 "non_finite_cells": 0,
             }
             assert counters["observations_per_replicate"]["max"] > counters["observations_per_replicate"]["p50"]

@@ -207,6 +207,16 @@ class TestSampling:
         back = families.cumulative_hazard_inverse(fam, families.cumulative_hazard(fam, x))
         assert back == pytest.approx(x, rel=1e-9)
 
+    @pytest.mark.parametrize("u", [700.0, 709.8, 863.47, 1060.0])
+    def test_burr_inverse_past_the_expm1_overflow(self, u):
+        """expm1(u) overflows from u ~ 709.78 on, though H^-1(u) ~ e^(u/alpha)
+        is finite: the inverse stays finite and H undoes it, with no numpy
+        warning (warnings are errors here)."""
+        fam = families.proportional_hazard(Member.BURR, alpha=1.5)
+        x = families.cumulative_hazard_inverse(fam, u)
+        assert math.isfinite(x)
+        assert families.cumulative_hazard(fam, x) == pytest.approx(u, rel=1e-12)
+
 
 class TestCdfPdf:
     """The reference law's cdf and pdf against the member's transform and

@@ -3,7 +3,8 @@ run at fixed seeds, must keep the exact bytes recorded in GOLDEN.  The
 digests were taken before the CLI, the simulation summary and the critical
 value table shared one output writer; a change that moves an output byte
 fails here, or records new digests and says why.  The simulate-* digests
-are those of stream layout 2 (replicate streams by Philox counter jumps).
+are those of stream layout 3: replicate streams by Philox counter jumps,
+through blocks that double from 64 observations up to 16,384.
 
 Each run works in a fresh directory with relative paths, so manifests name
 their inputs the same way everywhere; the one absolute path left, that of
@@ -39,6 +40,11 @@ CONFIGS = {
                                       replications=500),
     "simulate-gamma-constant": config({"kind": "gamma_type", "member": "normal_zero_mean"},
                                       "constant", {"value": 1.5}, max_observations=10**5),
+    # replicates past 49,088 observations, two blocks of the largest size:
+    # AR theta draws differ with the block schedule, constant theta draws do not
+    "simulate-long-blocks": config({"kind": "gamma_type", "member": "gamma", "p": 1.0},
+                                   "ar_positive_error", n_target=14, replications=6,
+                                   max_observations=10**6),
     "simulate-user-supplied": config({"kind": "proportional_reversed_hazard", "member": "beta"},
                                      "user_supplied", {"thetas": [1.05**i for i in range(400)]}),
 }
@@ -105,32 +111,37 @@ GOLDEN = {
         "records.csv": "9143eaf924d4406edb5c91a837669730493222f457455d266a1c72082398f1ad",
     },
     "simulate-ar": {
-        "manifest.json": "3cb70297daaa93c7d15e331e391d7ccaee8b10c0fa0648b21590bce10979342a",
+        "manifest.json": "68b87e41756d0987b680229d68e5e88bdeefd9f30b47e4db9f142879573aff1f",
         "simulate_summary.csv": "e85cc41d6986ddee5921fde21ca67155a707c1c0a2781b8897b7bea32db24bca",
         "simulate_summary.json": "0955dac05557d765525af87ca0a82e8f5ea7ecc82c9c3025cce808024c8f6ce5",
     },
     "simulate-constant-chain": {
-        "manifest.json": "997c520e0989244f9a8bb786e97d2d1484c0604839629e118a2bb7ff7a21374f",
+        "manifest.json": "0d814707b6b76c83338218ead1508901e7b2a3feb349671b6238ad528cdf6c72",
         "simulate_summary.csv": "658b2cb50b6b6f9cb954a1b39d2d0d5916970f6f1f114b7b28440cbacc3a806e",
         "simulate_summary.json": "43e01354a35f5494b8eb9456b2113e31752b104f5fbcf235323eb45096360e65",
     },
     "simulate-gamma-constant": {
-        "manifest.json": "0cf8336fdb7bc697f67a600003923206478bca153cdccc2ef2a3d28bdde8c034",
+        "manifest.json": "ce3cff34084ad425c220a00bf18a561a0473b60b80dcb472db4357aaaacbae12",
         "simulate_summary.csv": "bee8a2cd419ce55c41b213c72f0e5da02aa8c8af0a01ee477fbaa46b3549c79a",
         "simulate_summary.json": "cffbe28b450b30ef109749efbece4ff94970d7a90bbcf50b94ca31e8ca0416a9",
     },
     "simulate-geometric": {
-        "manifest.json": "204789cfb4faa8161fc0f982c10fd3cbc721311d9c0918a513c741f8ae8dfb66",
+        "manifest.json": "df5732d7ce4d1b59d141b7e58b4b35ba6d9b091088c302e5d458f2bf6d7ffed6",
         "simulate_summary.csv": "c2ccc53e054824d376ade0a44dda541cad62830d6b83eb6205518a794ea4df21",
         "simulate_summary.json": "751898b3eebfbd31c5ffb90750de0a5af7cfa7fe42c753586c9f8958ba6a3bb5",
     },
+    "simulate-long-blocks": {
+        "manifest.json": "f73ba54afdfc6992aceb3a5a7063827c88ebf4e82ceec19adcca5b55db146535",
+        "simulate_summary.csv": "547f2e5a744ae7cc5727203d15deac31c375809ae783d7bb955acd219a5e6c79",
+        "simulate_summary.json": "634d2f7cfc698003469021f604d4ccb5abe562de4678241b0d89c933e2f74843",
+    },
     "simulate-user-supplied": {
-        "manifest.json": "f9ce1da4115e54b9f1c199c8779a80d0e29095b27d264c5094ee71fad3b761e2",
+        "manifest.json": "2560c328b0875684b2deb14cb8ee64b1e6c25f072f10fc33cd671a82fe7dd5ea",
         "simulate_summary.csv": "2501195be9508696d3531f0f2f7eb116527291ba1a04996b51bd0743f54783f9",
         "simulate_summary.json": "8e5e63c6cda5912b0b15a1600e86477b5e9ec6f3e60e8722b882a42550b2adad",
     },
     "simulate-white-noise": {
-        "manifest.json": "9e752b2e2209cdc7359d7074287071e0e19f856974e7ed9d9c93a0a15ed005a9",
+        "manifest.json": "e27044b509dd41967410d69a0b406a853fcc84b8e0f9f7d00c17f7d19e9f7ef0",
         "simulate_summary.csv": "1d743b11c01eff4e59d7579fb4d4e72c55dcdab883577630e5b9f56f5a599b3b",
         "simulate_summary.json": "4ca37f4be82b108ce37b36988c7e0327c1f4f24837452598da0a82fea0629c93",
     },

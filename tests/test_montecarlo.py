@@ -5,6 +5,7 @@ import sys
 import threading
 import tracemalloc
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -41,7 +42,7 @@ class TestThetaStream:
         rng = np.random.default_rng(1)
         mult = rng.random(1000)
         add = rng.standard_exponential(1000)
-        A, C = montecarlo._affine_scan(mult, add)
+        A, C = montecarlo._affine_scan(mult.copy(), add.copy())  # it overwrites its inputs
         x = 0.7
         expect = np.empty(1000)
         for i in range(1000):
@@ -513,15 +514,16 @@ class TestMatchesReference:
         self.assert_same(config)
 
     def test_rows_reach_the_largest_block(self):
-        # ~11 records in 65,472 iid draws: 14 need the 65,536 block, and the
-        # cap trims the block after it.  Gamma-type p = 1 gives the same iid
+        # ~11 records in the 32,704 iid draws before the first block of
+        # 16,384: 14 records take two or more blocks of that largest size,
+        # and the cap trims the last block.  Gamma-type p = 1 gives the same iid
         # exponential law as the hazard family, and it streams.
         config = SimulationConfig(family=families.gamma_type(Member.GAMMA, p=1.0),
                                   theta_model=ParameterSequenceModel.constant(1.0),
                                   n_target=14, replications=3, master_seed=51,
                                   max_observations=150_000)
         draws = montecarlo.simulate_records(config)
-        assert draws.observations.max() > 65_472
+        assert draws.observations[~draws.truncated].max() > 49_088
         self.assert_same(config)
 
     def test_many_threads_with_frequent_switches(self):
@@ -610,24 +612,42 @@ class TestMatchesReference:
         assert draws.truncated.any() and not draws.truncated.all()
         assert draws.geometric_exponent_clamped > 0
 
-    def test_departures_are_counted_in_bounded_memory(self):
-        # once the clamp binds for most positions records come at a log rate,
-        # so every row runs to the cap, clamping ~96% of its 10**6 values
-        config = SimulationConfig(family=exp_family(),
-                                  theta_model=ParameterSequenceModel.stochastic_geometric(),
-                                  n_target=300, replications=3, master_seed=55,
-                                  max_observations=10**6)
+    # once the clamp binds for most positions records come at a log rate, so
+    # every row runs to the cap, clamping ~96% of its 10**6 values
+    CLAMPED = SimulationConfig(family=exp_family(),
+                               theta_model=ParameterSequenceModel.stochastic_geometric(),
+                               n_target=300, replications=3, master_seed=55,
+                               max_observations=10**6)
+
+    @staticmethod
+    def traced_peak(config, threads=1):
+        """simulate_records(config, threads) and the peak of the memory it
+        allocated.  A one-block run first imports what the engine loads on
+        first use (numpy.random), so the trace holds the engine's arrays."""
+        montecarlo.simulate_records(replace(config, replications=1, max_observations=64))
         tracemalloc.start()
         try:
-            draws = montecarlo.simulate_records(config)
+            draws = montecarlo.simulate_records(config, threads=threads)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+        return draws, peak
+
+    def test_departures_are_counted_in_bounded_memory(self):
+        draws, peak = self.traced_peak(self.CLAMPED)
         assert draws.truncated.all()
-        expect = reference_simulate(config).geometric_exponent_clamped
+        expect = reference_simulate(self.CLAMPED).geometric_exponent_clamped
         assert draws.geometric_exponent_clamped == expect > 2_800_000
-        # one 65,536-observation block's matrices, not a record per clamped value
-        assert peak < 16 * 2**20
+        # one 16,384-observation row's arrays, not a record per clamped value
+        assert peak < 1.5 * 2**20
+
+    def test_rows_on_workers_stay_bounded(self, monkeypatch):
+        """Four one-replicate batches of 10**6 observations run on four
+        workers at once: each holds one long-block row's arrays."""
+        monkeypatch.setattr(montecarlo, "_BATCH_ROWS", 1)
+        draws, peak = self.traced_peak(replace(self.CLAMPED, replications=4), threads=4)
+        assert draws.truncated.all()
+        assert peak < 5 * 2**20
 
     def test_theta_list_exhaustion_message(self):
         config = SimulationConfig(family=exp_family(),
