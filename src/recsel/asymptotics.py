@@ -36,16 +36,6 @@ def _exp_base_family() -> families.FamilySpec:
     return families.proportional_hazard(families.Member.EXPONENTIAL)
 
 
-def _record_chain(n: int, reps: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    """Record levels (in units of theta) and float record times of reps
-    constant-theta replicates, up to record n, from one (reps, 2n - 1) block
-    of standard exponential draws: per replicate, the layout the engine's
-    record chain draws from its replicate stream."""
-    if reps < 1:
-        raise UsageError("need reps >= 1")
-    return montecarlo.record_chain(rng.standard_exponential((reps, 2 * n - 1)))
-
-
 def _simulate(theta_model: montecarlo.ParameterSequenceModel, n: int, reps: int,
               rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """(values, prev values, log S(T_n), selected theta) of the n-th record
@@ -53,9 +43,14 @@ def _simulate(theta_model: montecarlo.ParameterSequenceModel, n: int, reps: int,
     prev values are 0 at n = 1."""
     if n < 1:
         raise UsageError("need n >= 1")
+    if reps < 1:
+        raise UsageError("need reps >= 1")
     if theta_model.scheme == montecarlo.Scheme.CONSTANT:
         theta = theta_model.params["value"]
-        levels, times = _record_chain(n, reps, rng)
+        # record levels (in units of theta) and float record times from one
+        # block of standard exponential draws, per replicate the layout the
+        # engine's record chain draws from its replicate stream
+        levels, times = montecarlo.record_chain(rng.standard_exponential((reps, 2 * n - 1)))
         prev = theta * levels[:, n - 2] if n > 1 else 0.0
         return (theta * levels[:, n - 1], prev, np.log(times[:, n - 1] / theta),
                 np.full(reps, theta))

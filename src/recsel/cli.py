@@ -427,7 +427,8 @@ def build_parser() -> argparse.ArgumentParser:
     def add_common(p, seeded=True):
         p.add_argument("--out", default="recsel-out", help="output directory")
         p.add_argument("--threads", type=_non_negative_int, default=0,
-                       help="worker threads for simulation engines (0 = auto)")
+                       help="worker threads for simulation engines, at most nproc "
+                            "(0 = min(nproc, 8))")
         if seeded:
             p.add_argument("--seed", type=_non_negative_int, default=DEFAULT_SEED, help="master seed")
 
@@ -489,8 +490,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "threads", 0) == 0:
-        args.threads = min(os.cpu_count() or 1, 8)
+    args.threads = min(args.threads or 8, os.cpu_count() or 1)
     try:
         return args.func(args)
     except UsageError as exc:

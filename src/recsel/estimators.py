@@ -186,9 +186,9 @@ def risk_general_phr(V, u_prev: float, u_curr: float, family: families.FamilySpe
     """Unbiased risk estimate for an arbitrary estimator V(u, u_prev) built
     from raw-scale records of a hazard family.
 
-    When the cumulative hazard has a closed-form inverse the integral is
-    taken in the hazard scale (substitution u = H(t)); otherwise the hazard
-    rate is integrated directly in t.
+    H(X) is exponential, so the integral is taken in the hazard scale,
+    through the substitution s = H(t) and the member's inverse H^-1
+    (interpolated for a tabulated member).
     """
     if family.kind != families.Kind.PROPORTIONAL_HAZARD:
         raise UsageError("risk_general_phr applies to proportional-hazard families")
@@ -198,14 +198,8 @@ def risk_general_phr(V, u_prev: float, u_curr: float, family: families.FamilySpe
     h_curr = families.cumulative_hazard(family, u_curr)
     if h_prev > h_curr:
         raise DomainError("records must be ordered")
-    if families.has_closed_inverse(family):
-        integral = _quad(
-            lambda s: V(families.cumulative_hazard_inverse(family, s), u_prev),
-            h_prev, h_curr)
-    else:
-        integral = _quad(
-            lambda t: families.hazard(family, t) * V(t, u_prev),
-            u_prev, u_curr)
+    integral = _quad(lambda s: V(families.cumulative_hazard_inverse(family, s), u_prev),
+                     h_prev, h_curr)
     v = float(V(u_curr, u_prev))
     return v * v + (h_curr - h_prev) ** 2 / 2.0 - 2.0 * integral
 

@@ -10,8 +10,10 @@ Two model classes are supported:
 
 Each (kind, member) pair is one row of the catalog _ROWS.  FamilySpec values
 are immutable and safe to share between threads.  The module gives each
-member's transform and support, not its raw-scale law: the estimators and
-the stationarity test work on the canonical statistic only.
+member's transform, its support and, for a hazard member, the inverse of
+the transform (interpolated for a tabulated member), not its raw-scale law:
+the estimators and the stationarity test work on the canonical statistic
+only.
 """
 
 from __future__ import annotations
@@ -49,27 +51,19 @@ class Member(str, enum.Enum):
 
 @dataclass(frozen=True)
 class _Row:
-    """One catalog member of one kind.  t is its transform (S, H or R), dt
-    the derivative of t and inv the closed-form inverse of t that the risk
-    substitution of a hazard member uses (None where no hazard member needs
-    one); each takes the value and the member's parameters.  params names the member's parameters, positive numbers but
-    for the table's two arrays, and reals its other real ones; support maps
-    the parameters to the support's endpoints."""
+    """One catalog member of one kind.  t is its transform (S, H or R) and
+    inv the inverse of t that the risk substitution of a hazard member uses
+    (None on a row only gamma-type members use); each takes the value and
+    the member's parameters.  params names the member's parameters,
+    positive numbers but for the table's two arrays, and reals its other
+    real ones; support maps the parameters to the support's endpoints."""
 
     t: Callable
-    dt: Callable
     inv: Callable | None = None
     params: tuple[str, ...] = ()
     reals: tuple[str, ...] = ()
     support: Callable = lambda a: (0.0, math.inf)
     shape: float | None = 1.0  # gamma-type: the shape p the member fixes, None when p is free
-
-
-def _table_slope(x, a):
-    xs = np.asarray(a["table_x"])
-    hs = np.asarray(a["table_h"])
-    idx = np.clip(np.searchsorted(xs, x, side="right") - 1, 0, xs.size - 2)
-    return (hs[idx + 1] - hs[idx]) / (xs[idx + 1] - xs[idx])
 
 
 def _check_table(kind: Kind, a: dict) -> dict:
@@ -112,11 +106,13 @@ def _burr_h_inverse(u, a):
 
 
 # formulas exponential and Rayleigh members share across kinds
-_IDENTITY = _Row(lambda x, a: x, lambda x, a: np.ones_like(x), lambda u, a: u)
-_HALF_SQUARE = _Row(lambda x, a: x * x / 2.0, lambda x, a: x, lambda u, a: np.sqrt(2.0 * u))
-# a custom member given as a monotone table of (x, transform) pairs: evaluation
-# only, since the table does not determine the tail
-_TABLE = _Row(lambda x, a: np.interp(x, a["table_x"], a["table_h"]), _table_slope, None,
+_IDENTITY = _Row(lambda x, a: x, lambda u, a: u)
+_HALF_SQUARE = _Row(lambda x, a: x * x / 2.0, lambda u, a: np.sqrt(2.0 * u))
+# a custom member given as a monotone table of (x, transform) pairs, on the
+# table's range only, since the table does not determine the tail; the
+# interpolated inverse is exact off the flat pieces, which have zero measure in u
+_TABLE = _Row(lambda x, a: np.interp(x, a["table_x"], a["table_h"]),
+              lambda u, a: np.interp(u, a["table_h"], a["table_x"]),
               ("table_x", "table_h"), support=lambda a: (a["table_x"][0], a["table_x"][-1]))
 
 _ROWS = {
@@ -125,29 +121,22 @@ _ROWS = {
     (Kind.GAMMA_TYPE, Member.NORMAL_ZERO_MEAN): replace(
         _HALF_SQUARE, support=lambda a: (-math.inf, math.inf), shape=0.5),
     # mean-infinity limit: the one-sided stable law with S(x) = 1/(2x)
-    (Kind.GAMMA_TYPE, Member.INVERSE_GAUSSIAN): _Row(
-        lambda x, a: 1.0 / (2.0 * x), lambda x, a: -0.5 / (x * x), shape=0.5),
-    (Kind.GAMMA_TYPE, Member.WEIBULL_KNOWN_BETA): _Row(
-        lambda x, a: x ** a["beta"], lambda x, a: a["beta"] * x ** (a["beta"] - 1.0), params=("beta",)),
+    (Kind.GAMMA_TYPE, Member.INVERSE_GAUSSIAN): _Row(lambda x, a: 1.0 / (2.0 * x), shape=0.5),
+    (Kind.GAMMA_TYPE, Member.WEIBULL_KNOWN_BETA): _Row(lambda x, a: x ** a["beta"], params=("beta",)),
     (Kind.GAMMA_TYPE, Member.RAYLEIGH): _HALF_SQUARE,
     (Kind.PROPORTIONAL_HAZARD, Member.EXPONENTIAL): _IDENTITY,
     (Kind.PROPORTIONAL_HAZARD, Member.RAYLEIGH): _HALF_SQUARE,
     (Kind.PROPORTIONAL_HAZARD, Member.PARETO): _Row(
-        lambda x, a: np.log(x / a["beta"]), lambda x, a: 1.0 / x,
-        lambda u, a: a["beta"] * np.exp(u), ("beta",), support=lambda a: (a["beta"], math.inf)),
-    (Kind.PROPORTIONAL_HAZARD, Member.BURR): _Row(
-        _burr_h,
-        lambda x, a: a["alpha"] * x ** (a["alpha"] - 1.0) / (1.0 + x ** a["alpha"]),
-        _burr_h_inverse, ("alpha",)),
+        lambda x, a: np.log(x / a["beta"]), lambda u, a: a["beta"] * np.exp(u), ("beta",),
+        support=lambda a: (a["beta"], math.inf)),
+    (Kind.PROPORTIONAL_HAZARD, Member.BURR): _Row(_burr_h, _burr_h_inverse, ("alpha",)),
     # parametric custom transform H(x) = ((x - shift)**power)/scale
     (Kind.PROPORTIONAL_HAZARD, Member.CUSTOM): _Row(
         lambda x, a: (x - a["shift"]) ** a["power"] / a["scale"],
-        lambda x, a: a["power"] * (x - a["shift"]) ** (a["power"] - 1.0) / a["scale"],
         lambda u, a: a["shift"] + (a["scale"] * u) ** (1.0 / a["power"]),
         ("power", "scale"), ("shift",), support=lambda a: (a["shift"], math.inf)),
     (Kind.PROPORTIONAL_REVERSED_HAZARD, Member.BETA): _Row(
-        lambda x, a: np.log(x), lambda x, a: 1.0 / x, lambda u, a: np.exp(u),
-        support=lambda a: (0.0, 1.0)),
+        lambda x, a: np.log(x), lambda u, a: np.exp(u), support=lambda a: (0.0, 1.0)),
     (Kind.PROPORTIONAL_REVERSED_HAZARD, Member.CUSTOM): _TABLE,
 }
 
@@ -247,15 +236,14 @@ def check_support(family: FamilySpec, x):
     return x
 
 
-def _apply(family: FamilySpec, fn, x):
-    """fn, a function of the family's row, at x on the support.  A division
-    by zero at a support endpoint gives the derivative's infinite limit
-    quietly; the transform is finite on the support, so an infinite one is
-    an overflow of float64 and a data error."""
+def _apply(family: FamilySpec, x):
+    """The family's transform at x on the support.  The transform is finite
+    on the support, so an infinite one is an overflow of float64 and a data
+    error."""
     x = check_support(family, x)
-    with np.errstate(divide="ignore", over="ignore"):
-        out = fn(x, family.member_params)
-    if fn is family.row.t and not np.all(np.isfinite(out)):
+    with np.errstate(over="ignore"):
+        out = family.row.t(x, family.member_params)
+    if not np.all(np.isfinite(out)):
         raise DataError(f"the canonical value of {x[~np.isfinite(out)][0]} overflows float64")
     return out if np.ndim(x) else float(out)
 
@@ -264,7 +252,7 @@ def s_transform(family: FamilySpec, x):
     """Evaluate the gamma-type transform S at x (identity, x**2/2, 1/(2x), ...)."""
     if family.kind != Kind.GAMMA_TYPE:
         raise UsageError("s_transform applies to gamma-type families only")
-    return _apply(family, family.row.t, x)
+    return _apply(family, x)
 
 
 def cumulative_hazard(family: FamilySpec, x):
@@ -273,22 +261,12 @@ def cumulative_hazard(family: FamilySpec, x):
     limit (0) rather than raising."""
     if family.kind == Kind.GAMMA_TYPE:
         raise UsageError("cumulative_hazard applies to hazard families only")
-    return _apply(family, family.row.t, x)
-
-
-def hazard(family: FamilySpec, x):
-    """Derivative of the family's transform: the hazard rate g/(1-G), the
-    reversed hazard rate g/G for the reversed family, or S' for a
-    gamma-type family."""
-    return _apply(family, family.row.dt, x)
-
-
-def has_closed_inverse(family: FamilySpec) -> bool:
-    return family.row.inv is not None
+    return _apply(family, x)
 
 
 def cumulative_hazard_inverse(family: FamilySpec, u):
-    """Inverse of cumulative_hazard on the support (closed-form members only)."""
+    """Inverse of cumulative_hazard, interpolated for a tabulated member,
+    whose range is the table's."""
     u = np.asarray(u, dtype=float)
     if family.kind == Kind.GAMMA_TYPE:
         raise UsageError("cumulative_hazard_inverse applies to hazard families only")
@@ -296,9 +274,11 @@ def cumulative_hazard_inverse(family: FamilySpec, u):
         raise DomainError("cumulative hazard values are nonnegative")
     if family.kind == Kind.PROPORTIONAL_REVERSED_HAZARD and np.any(u > 0):
         raise DomainError("reversed cumulative hazard values are nonpositive")
-    if not has_closed_inverse(family):
-        raise UsageError("tabulated custom transform has no closed-form inverse")
-    out = family.row.inv(u, family.member_params)
+    a = family.member_params
+    if family.row is _TABLE and not np.all((u >= a["table_h"][0]) & (u <= a["table_h"][-1])):
+        # np.interp would clamp there
+        raise DomainError(f"value outside the table's range [{a['table_h'][0]}, {a['table_h'][-1]}]")
+    out = family.row.inv(u, a)
     return out if u.ndim else float(out)
 
 

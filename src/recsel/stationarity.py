@@ -189,12 +189,8 @@ def critical_values(n_values, alphas, replications: int, master_seed: int,
         draws.sort()
         quantiles[i] = [_sorted_quantile(draws, a) for a in alphas]
 
-    if threads and threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(do_row, range(len(n_values))))
-    else:
-        for i in range(len(n_values)):
-            do_row(i)
+    with ThreadPoolExecutor(max_workers=max(1, threads)) as pool:
+        list(pool.map(do_row, range(len(n_values))))
     return CriticalValueTable(n_values, alphas, quantiles, replications, master_seed)
 
 

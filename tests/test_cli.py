@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 import recsel
 from recsel import cli, datasets, families, montecarlo, stationarity
-from recsel.errors import DataError
+from recsel.errors import DataError, UsageError
 
 RAINFALL = datasets.RAINFALL_RECORD_VALUES
 RAIN_FAMILY = '{"kind": "proportional_hazard", "member": "custom", "params": {"custom_H": {"shift": 4, "power": 1.9, "scale": 1}}}'
@@ -794,7 +794,8 @@ def test_cli_start_up_does_not_import_numpy_random():
 class TestSeedValidation:
     """A negative or non-integer master seed is a usage error (exit 2) that
     names the field, on the command line and in a simulate config; so is a
-    negative or non-integer --threads."""
+    negative or non-integer --threads.  A larger --threads than nproc is
+    capped at nproc."""
 
     @pytest.mark.parametrize("command", [
         ["simulate", "--config", "<config>"],
@@ -821,6 +822,28 @@ class TestSeedValidation:
             run(*command, "--threads", threads, "--out", str(tmp_path / "o"))
         assert exc.value.code == 2
         assert "argument --threads: must be a non-negative integer" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", [["simulate", "--config", "<config>"], ["critvals"]],
+                             ids=["simulate", "critvals"])
+    @pytest.mark.parametrize("nproc, threads, expected", [
+        (2, "5000", 2), (2, "1", 1), (16, "0", 8), (None, "3", 1),
+    ])
+    def test_threads_capped_at_nproc(self, tmp_path, monkeypatch, command, nproc, threads,
+                                     expected):
+        # the engines are stubbed to record their threads, so no thread starts
+        seen = []
+
+        def engine(*args, threads):
+            seen.append(threads)
+            raise UsageError("stubbed engine")
+
+        monkeypatch.setattr(os, "cpu_count", lambda: nproc)
+        monkeypatch.setattr(stationarity, "critical_values", engine)
+        monkeypatch.setattr(montecarlo, "bias_risk_table", engine)
+        config = TestSimulateCommand().config(tmp_path, reps=10)
+        argv = [str(config) if a == "<config>" else a for a in command]
+        assert run(*argv, "--threads", threads, "--out", str(tmp_path / "o")) == 2
+        assert seen == [expected]
 
     @pytest.mark.parametrize("seed", [-1, 1.5, "7", True, None])
     def test_config_master_seed(self, tmp_path, capsys, seed):

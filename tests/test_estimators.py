@@ -121,13 +121,27 @@ class TestGeneralRiskQuadrature:
             families.cumulative_hazard(fam, a), families.cumulative_hazard(fam, b))
         assert w_quad == pytest.approx(w_closed, rel=1e-9)
 
+    @pytest.mark.parametrize("fam, a, b", [
+        (families.proportional_hazard(Member.CUSTOM, shift=1.0, power=0.3, scale=2.0), 1.0 + 1e-8, 51.0),
+        (families.proportional_hazard(Member.BURR, alpha=0.2), 0.0, 2.0),
+        (families.proportional_hazard(Member.BURR, alpha=0.2), 0.0, 1e-3),
+    ], ids=["custom-power0.3", "burr0.2-to-2", "burr0.2-to-1e-3"])
+    def test_phr_general_singular_hazard_rate(self, fam, a, b):
+        # the hazard rate is infinite at the support's lower end; in the
+        # hazard scale the integrand is smooth there
+        V = lambda t, prev: families.cumulative_hazard(fam, t) - families.cumulative_hazard(fam, prev)
+        w_quad = estimators.risk_general_phr(V, a, b, fam)
+        w_closed = estimators.risk_umvue_phr(
+            families.cumulative_hazard(fam, a), families.cumulative_hazard(fam, b))
+        assert w_quad == pytest.approx(w_closed, rel=1e-10)
+
     def test_phr_general_tabulated_hazard_path(self):
-        # tabulated transform exercises the direct-in-t quadrature branch
+        # a tabulated transform integrates through its interpolated inverse
         xs = np.linspace(0.0, 20.0, 20001)
         tab = families.proportional_hazard(Member.CUSTOM, table_x=xs, table_h=xs.copy())
         V = lambda t, prev: families.cumulative_hazard(tab, t) - families.cumulative_hazard(tab, prev)
         w = estimators.risk_general_phr(V, 1.0, 3.0, tab)
-        assert w == pytest.approx(estimators.risk_umvue_phr(1.0, 3.0), rel=1e-6)
+        assert w == pytest.approx(estimators.risk_umvue_phr(1.0, 3.0), rel=1e-12)
 
     def test_phr_natural_estimator_closed_form(self):
         # substitution antiderivative: W = H(a)^2 + (H(b) - H(a))^2 / 2
