@@ -4,7 +4,8 @@ Subcommands: records, estimate, simulate, critvals, test, demo-rainfall.
 Numeric output on stdout and in CSV files carries 6 significant digits;
 JSON files retain full precision.  Every run writes a manifest recording the
 resolved configuration, the master seed and input digests, and seeded runs
-are byte-identical for any --threads value.
+are byte-identical for any --threads value.  Building the parser imports
+no numpy; each subcommand imports the recsel modules it runs, when it runs.
 
 Exit codes: 0 success, 2 usage error, 3 data error, 4 numeric error.
 """
@@ -19,12 +20,15 @@ import os
 import sys
 import warnings
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from . import __version__, datasets, estimators, families, montecarlo, output, records, stationarity
+from . import DEFAULT_BAND_FACTOR, __version__, output
 from .errors import DataError, NumericError, RecselError, UsageError, whole_number
 from .output import fmt
+
+if TYPE_CHECKING:
+    import numpy as np
+    from . import families, montecarlo, records, stationarity
 
 DEFAULT_SEED = 20260810
 DEFAULT_TABLE_REPS = 100000
@@ -63,6 +67,7 @@ def _load_sequence(path: str, column: str | None = None) -> np.ndarray:
 
 
 def _read_sequence(p: Path, path: str, column: str | None) -> np.ndarray:
+    import numpy as np
     if column is None:
         # numpy's C parser reads the common file.  The value loop below is
         # the definition: it runs whenever that parser refuses the file
@@ -125,6 +130,7 @@ def _read_text(what: str, path: str) -> str:
 def _load_family(text: str) -> tuple[families.FamilySpec, Path | None]:
     """Accept inline JSON, a path to a JSON file, or the name of a bundled
     dataset family (currently 'lacc-rainfall-records')."""
+    from . import datasets, families
     text = text.strip()
     if text == datasets.RAINFALL_DATASET:
         return datasets.rainfall_family(), None
@@ -137,6 +143,7 @@ def _load_table(path: str) -> stationarity.CriticalValueTable:
     """A critical value table file, JSON when its name ends in .json, else
     CSV: an unreadable path is a usage error, contents that are not a valid
     table a data error."""
+    from . import stationarity
     text = _read_text("table", path)
     try:
         return stationarity.CriticalValueTable.from_text(text, path.endswith(".json"))
@@ -172,6 +179,7 @@ def _outdir(args) -> Path:
 
 
 def _resolve_input(path: str) -> str:
+    from . import datasets
     if path == datasets.RAINFALL_DATASET:
         return datasets.rainfall_records_path()
     return path
@@ -187,6 +195,7 @@ def _write_records(path: Path, rec: records.RecordSet) -> None:
 
 
 def cmd_records(args) -> int:
+    from . import families, records
     outdir = _outdir(args)
     in_path = _resolve_input(args.input)
     seq = _load_sequence(in_path, args.column)
@@ -213,6 +222,7 @@ def cmd_records(args) -> int:
 
 
 def cmd_estimate(args) -> int:
+    from . import estimators, families, records
     outdir = _outdir(args)
     in_path = _resolve_input(args.input)
     seq = _load_sequence(in_path, args.column)
@@ -241,6 +251,7 @@ def cmd_estimate(args) -> int:
 def _load_simulation_config(path: str, seed_override: int | None) -> tuple[montecarlo.SimulationConfig, list[int], dict]:
     """The config of a simulate run, with --seed in place of its master_seed
     when given, and the n rows its output keeps (n_values)."""
+    from . import montecarlo
     try:
         doc = json.loads(_read_text("config", path))
     except json.JSONDecodeError as exc:
@@ -272,6 +283,7 @@ def _cell_list(cells) -> str:
 
 
 def cmd_simulate(args) -> int:
+    from . import montecarlo
     outdir = _outdir(args)
     config, n_values, doc = _load_simulation_config(args.config, args.seed)
     summary = montecarlo.bias_risk_table(config, threads=args.threads)
@@ -302,6 +314,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_critvals(args) -> int:
+    from . import stationarity
     outdir = _outdir(args)
     if args.reps < 10000:
         print("warning: fewer than 1e4 replications; quantiles carry wide Monte Carlo error",
@@ -326,6 +339,8 @@ def cmd_critvals(args) -> int:
 
 def _run_test(canon: records.RecordSet, alpha: float, table_path: str | None, seed: int,
               reps: int, threads: int) -> dict:
+    import numpy as np
+    from . import stationarity
     if len(canon) < 2:
         raise UsageError("fewer than 2 records: the test needs at least two")
     spacings = np.diff(np.concatenate(([0.0], canon.values)))
@@ -350,6 +365,7 @@ def _run_test(canon: records.RecordSet, alpha: float, table_path: str | None, se
 
 
 def cmd_test(args) -> int:
+    from . import families, records
     outdir = _outdir(args)
     in_path = Path(_resolve_input(args.input))
     seq = _load_sequence(in_path, args.column)
@@ -377,6 +393,7 @@ def cmd_test(args) -> int:
 
 
 def cmd_demo_rainfall(args) -> int:
+    from . import datasets, estimators, families, records
     outdir = _outdir(args)
     family = datasets.rainfall_family()
     in_path = Path(datasets.rainfall_records_path())
@@ -424,11 +441,12 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"recsel {__version__}")
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def add_common(p, seeded=True):
+    def add_common(p, seeded=True, threaded=True):
         p.add_argument("--out", default="recsel-out", help="output directory")
         p.add_argument("--threads", type=_non_negative_int, default=0,
                        help="worker threads for simulation engines, at most nproc "
-                            "(0 = min(nproc, 8))")
+                            "(0 = min(nproc, 8))" if threaded else
+                            "accepted and has no effect: this command runs on one thread")
         if seeded:
             p.add_argument("--seed", type=_non_negative_int, default=DEFAULT_SEED, help="master seed")
 
@@ -438,16 +456,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--family", default=None,
                    help="gamma-type family JSON: extract transformed records instead")
     p.add_argument("--column", default=None, help="read this column of a CSV file")
-    add_common(p, seeded=False)
+    add_common(p, seeded=False, threaded=False)
     p.set_defaults(func=cmd_records)
 
     p = sub.add_parser("estimate", help="per-record parameter estimates with sigma bands")
     p.add_argument("--input", required=True)
     p.add_argument("--family", required=True, help="family JSON (inline or file) or dataset name")
     p.add_argument("--model", choices=["stationary", "nonstationary"], default="nonstationary")
-    p.add_argument("--band-factor", type=float, default=estimators.DEFAULT_BAND_FACTOR)
+    p.add_argument("--band-factor", type=float, default=DEFAULT_BAND_FACTOR)
     p.add_argument("--column", default=None)
-    add_common(p, seeded=False)
+    add_common(p, seeded=False, threaded=False)
     p.set_defaults(func=cmd_estimate)
 
     p = sub.add_parser("simulate", help="bias/risk table from a simulation config")
@@ -478,7 +496,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("demo-rainfall", help="full pipeline on the bundled rainfall records")
     p.add_argument("--alpha", type=float, default=0.05)
-    p.add_argument("--band-factor", type=float, default=estimators.DEFAULT_BAND_FACTOR)
+    p.add_argument("--band-factor", type=float, default=DEFAULT_BAND_FACTOR)
     p.add_argument("--table", default=None)
     p.add_argument("--reps", type=int, default=DEFAULT_TABLE_REPS)
     add_common(p)

@@ -16,15 +16,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import families
+from . import DEFAULT_BAND_FACTOR, families
 from .errors import DomainError, NumericError, UsageError, finite_number
 from .records import RecordSet
 
 QUAD_ABS_TOL = 1e-10
 QUAD_REL_TOL = 1e-8
 QUAD_LIMIT = 32768
-
-DEFAULT_BAND_FACTOR = 1.5
 
 
 class EstimatorId(str, enum.Enum):

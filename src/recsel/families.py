@@ -69,19 +69,22 @@ class _Row:
 def _check_table(kind: Kind, a: dict) -> dict:
     try:
         xs = np.asarray(a["table_x"], dtype=float)
-        hs = np.asarray(a["table_h"], dtype=float)
+        hs = np.array(a["table_h"], dtype=float)
     except (TypeError, ValueError) as exc:
         raise UsageError(f"custom table is not numeric: {exc}") from None
     if xs.ndim != 1 or xs.shape != hs.shape or xs.size < 2:
         raise UsageError("custom table needs matching 1-d arrays with >= 2 points")
     if not (np.all(np.isfinite(xs)) and np.all(np.isfinite(hs))):
         raise UsageError("custom table values must be finite")
+    # H(a) = 0 and R(b) = 0 exactly: the n = 1 convention takes prev = 0
+    end = 0 if kind == Kind.PROPORTIONAL_HAZARD else -1
+    if math.isclose(hs[end], 0.0, abs_tol=1e-12):
+        hs[end] = 0.0
     if np.any(np.diff(xs) <= 0) or np.any(np.diff(hs) < 0):
         raise UsageError("custom table must be strictly increasing in x, nondecreasing in h")
-    if kind == Kind.PROPORTIONAL_HAZARD and not math.isclose(hs[0], 0.0, abs_tol=1e-12):
-        raise UsageError("tabulated H must start at 0 on the support lower endpoint")
-    if kind == Kind.PROPORTIONAL_REVERSED_HAZARD and not math.isclose(hs[-1], 0.0, abs_tol=1e-12):
-        raise UsageError("tabulated R must end at 0 on the support upper endpoint")
+    if hs[end] != 0.0:
+        raise UsageError("tabulated H must start at 0 on the support lower endpoint" if end == 0
+                         else "tabulated R must end at 0 on the support upper endpoint")
     return {"table_x": tuple(map(float, xs)), "table_h": tuple(map(float, hs))}
 
 

@@ -756,39 +756,135 @@ IMPORT_GUARD = textwrap.dedent("""
 """)
 
 
-def test_cli_subcommands_do_not_import_scipy(tmp_path):
-    """No subcommand needs scipy; only quadrature risk and the gamma-type
-    cdf/pdf import it, on first use."""
+def fresh_python(code: str, *args: str) -> str:
+    """The last stdout line of `code` run in a new interpreter that imports
+    recsel from this checkout."""
+    src = str(Path(recsel.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", code, *args], env=env, capture_output=True,
+                          text=True, timeout=600)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.strip().splitlines()[-1]
+
+
+def write_simulate_configs(work: Path) -> None:
+    """config.json, the bundled Table-1 config at 200 replicates, and
+    chain.json, the same with constant theta on a hazard family, which runs
+    the record chain."""
     import importlib.resources as res
 
     doc = json.loads(res.files("recsel").joinpath("data/configs/table1_scheme1_p05.json").read_text())
     doc["replications"] = 200
-    (tmp_path / "config.json").write_text(json.dumps(doc), encoding="utf-8")
-    # constant theta with a hazard family runs the record chain
+    (work / "config.json").write_text(json.dumps(doc), encoding="utf-8")
     doc["family"] = {"kind": "proportional_hazard", "member": "exponential"}
     doc["theta_model"] = {"scheme": "constant", "params": {"value": 1.0}}
-    (tmp_path / "chain.json").write_text(json.dumps(doc), encoding="utf-8")
-    src = str(Path(recsel.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-c", IMPORT_GUARD, str(tmp_path), RAIN_FAMILY],
-                          env=env, capture_output=True, text=True, timeout=600)
-    assert proc.returncode == 0, proc.stderr
-    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    (work / "chain.json").write_text(json.dumps(doc), encoding="utf-8")
+
+
+def test_cli_subcommands_do_not_import_scipy(tmp_path):
+    """No subcommand needs scipy; only quadrature risk and the gamma-type
+    cdf/pdf import it, on first use."""
+    write_simulate_configs(tmp_path)
+    result = json.loads(fresh_python(IMPORT_GUARD, str(tmp_path), RAIN_FAMILY))
     assert result["codes"] == [0] * 7
     assert result["scipy"] == []
 
 
 def test_cli_start_up_does_not_import_numpy_random():
-    """numpy.random (~17 ms) is imported when a stream is first built, not
+    """numpy.random (~9 ms) is imported when a stream is first built, not
     by importing the CLI or building its parser."""
-    src = str(Path(recsel.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     code = ("import sys, recsel.cli; recsel.cli.build_parser(); "
             "print(sorted(m for m in sys.modules if m.startswith('numpy.random')))")
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
-                          timeout=600)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    assert fresh_python(code) == "[]"
+
+
+LOADED = "sorted(m for m in sys.modules if m.startswith('numpy') or m.split('.')[0] == 'recsel')"
+PARSER_MODULES = ["recsel", "recsel.cli", "recsel.errors", "recsel.output"]
+
+
+def test_cli_start_up_does_not_import_numpy():
+    """Building the parser, --version and an argparse usage error load no
+    numpy and no recsel module the parser does not use."""
+    code = textwrap.dedent(f"""
+        import json, sys
+        import recsel.cli
+
+        recsel.cli.build_parser()
+        seen = {{"parser": {LOADED}}}
+        for argv in (["--version"], ["records"]):
+            try:
+                recsel.cli.main(argv)
+            except SystemExit as exc:
+                seen[" ".join(argv)] = [exc.code, {LOADED}]
+        print(json.dumps(seen))
+    """)
+    seen = json.loads(fresh_python(code))
+    assert seen == {"parser": PARSER_MODULES, "--version": [0, PARSER_MODULES],
+                    "records": [2, PARSER_MODULES]}
+
+
+@pytest.mark.parametrize("argv, modules", [
+    (["records", "--input", "lacc-rainfall-records"], "datasets families records"),
+    (["estimate", "--input", "lacc-rainfall-records", "--family", RAIN_FAMILY],
+     "datasets estimators families records"),
+    (["test", "--input", "lacc-rainfall-records", "--family", RAIN_FAMILY, "--reps", "2000"],
+     "datasets families records stationarity streams"),
+    (["critvals", "--n-min", "2", "--n-max", "3", "--reps", "2000"], "stationarity streams"),
+    (["demo-rainfall", "--reps", "2000"],
+     "datasets estimators families records stationarity streams"),
+    (["simulate", "--config", "config.json"], "estimators families montecarlo records streams"),
+    (["simulate", "--config", "chain.json"], "estimators families montecarlo records streams"),
+], ids=["records", "estimate", "test", "critvals", "demo-rainfall", "simulate", "simulate-chain"])
+def test_each_subcommand_imports_only_what_it_runs(tmp_path, argv, modules):
+    """A subcommand in a fresh interpreter loads the recsel modules it runs
+    and no other: none loads asymptotics, only simulate loads montecarlo,
+    and simulate loads neither stationarity nor datasets."""
+    write_simulate_configs(tmp_path)
+    argv = [str(tmp_path / a) if a.endswith(".json") else a for a in argv]
+    code = textwrap.dedent(f"""
+        import json, sys
+        from recsel import cli
+
+        code = cli.main(sys.argv[1:])
+        print(json.dumps([code, [m for m in {LOADED} if m.startswith("recsel.")]]))
+    """)
+    result = json.loads(fresh_python(code, *argv, "--out", str(tmp_path / "o")))
+    expected = sorted(["recsel.cli", "recsel.errors", "recsel.output"]
+                      + [f"recsel.{m}" for m in modules.split()])
+    assert result == [0, expected]
+
+
+@pytest.mark.parametrize("command", ["records", "estimate"])
+def test_threads_help_on_single_thread_commands(capsys, command):
+    """records and estimate accept --threads, which scripts pass to every
+    subcommand alike, and their help says it has no effect there."""
+    with pytest.raises(SystemExit) as exc:
+        run(command, "--help")
+    assert exc.value.code == 0
+    text = " ".join(capsys.readouterr().out.split())
+    assert "--threads THREADS accepted and has no effect: this command runs on one thread" in text
+
+
+@pytest.mark.parametrize("kind, table_h, near_zero", [
+    ("proportional_hazard", [0.0, 1.0, 2.0], [[-1e-13, 1.0, 2.0], [1e-13, 1.0, 2.0]]),
+    ("proportional_reversed_hazard", [-2.0, -1.0, 0.0], [[-2.0, -1.0, -1e-13], [-2.0, -1.0, 1e-13]]),
+], ids=["phr-first", "prhr-last"])
+def test_tabulated_endpoint_near_zero_is_zero(tmp_path, kind, table_h, near_zero):
+    """A tabulated H(a) or R(b) within 1e-12 of 0 is taken as exactly 0:
+    estimate writes the same bytes as for the table that spells it 0."""
+    seq = tmp_path / "seq.txt"
+    write_sequence(seq, [0, 1, 1.5] if kind == "proportional_hazard" else [1.5, 1, 0.5])
+
+    def outputs(hs, label):
+        family = json.dumps({"kind": kind, "member": "custom",
+                             "params": {"table_x": [0.0, 1.0, 2.0], "table_h": hs}})
+        out = tmp_path / label
+        assert run("estimate", "--input", str(seq), "--family", family, "--out", str(out)) == 0
+        return {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+
+    expected = outputs(table_h, "zero")
+    for i, hs in enumerate(near_zero):
+        assert outputs(hs, f"near{i}") == expected
 
 
 class TestSeedValidation:

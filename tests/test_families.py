@@ -140,6 +140,19 @@ class TestCumulativeHazard:
         with pytest.raises(DomainError, match=re.escape(f"outside the table's range [{hs[0]}, {hs[-1]}]")):
             families.cumulative_hazard_inverse(fam, far)
 
+    @pytest.mark.parametrize("build, table_h, message", [
+        (families.proportional_hazard, [1e-13, -1.0, 2.0], "nondecreasing in h"),
+        (families.proportional_hazard, [1e-11, 1.0, 2.0], "tabulated H must start at 0"),
+        (families.proportional_reversed_hazard, [-2.0, 1.0, -1e-13], "nondecreasing in h"),
+        (families.proportional_reversed_hazard, [-2.0, -1.0, -1e-11], "tabulated R must end at 0"),
+    ], ids=["phr-decreasing", "phr-start", "prhr-decreasing", "prhr-end"])
+    def test_bad_table_endpoint_is_usage_error(self, build, table_h, message):
+        # an endpoint within 1e-12 of 0 is set to 0 before the monotonicity
+        # check; a table that still decreases, or an endpoint past the
+        # tolerance, is a usage error
+        with pytest.raises(UsageError, match=message):
+            build(Member.CUSTOM, table_x=[0.0, 1.0, 2.0], table_h=table_h)
+
 
 class TestSupport:
     @pytest.mark.parametrize("fam, x, support", [
