@@ -791,7 +791,7 @@ def test_cli_subcommands_do_not_import_scipy(tmp_path):
 
 
 def test_cli_start_up_does_not_import_numpy_random():
-    """numpy.random (~9 ms) is imported when a stream is first built, not
+    """numpy.random (~10 ms) is imported when a stream is first built, not
     by importing the CLI or building its parser."""
     code = ("import sys, recsel.cli; recsel.cli.build_parser(); "
             "print(sorted(m for m in sys.modules if m.startswith('numpy.random')))")
