@@ -2,12 +2,12 @@
 joint record limits, the perfect-dependence correlation trend, and the
 o(n) decay of the selection estimator's risk rate.
 
-Constant-theta configurations use the exact record chain of
+The diagnostics need constant theta and use the exact record chain of
 `montecarlo.record_chain` (record values advance by memoryless exponential
 spacings; waiting times are conditionally geometric given the current record
 level) with float record times, because streaming observations to the n-th
 record needs on the order of e^n draws and the engine's int64 times overflow
-past n ~ 44.  Other schemes fall back to the literal streaming engine.
+past n ~ 44.  Any other scheme is a usage error.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import families, montecarlo
+from . import montecarlo
 from .errors import UsageError
 
 
@@ -32,40 +32,22 @@ class RiskRatePoint:
         return self.risk / self.n
 
 
-def _exp_base_family() -> families.FamilySpec:
-    return families.proportional_hazard(families.Member.EXPONENTIAL)
-
-
 def _simulate(theta_model: montecarlo.ParameterSequenceModel, n: int, reps: int,
-              rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """(values, prev values, log S(T_n), selected theta) of the n-th record
-    for the exponential-base record process under the given theta scheme;
-    prev values are 0 at n = 1."""
-    if n < 1:
-        raise UsageError("need n >= 1")
-    if reps < 1:
-        raise UsageError("need reps >= 1")
-    if theta_model.scheme == montecarlo.Scheme.CONSTANT:
-        theta = theta_model.params["value"]
-        # record levels (in units of theta) and float record times from one
-        # block of standard exponential draws, per replicate the layout the
-        # engine's record chain draws from its replicate stream
-        levels, times = montecarlo.record_chain(rng.standard_exponential((reps, 2 * n - 1)))
-        prev = theta * levels[:, n - 2] if n > 1 else 0.0
-        return (theta * levels[:, n - 1], prev, np.log(times[:, n - 1] / theta),
-                np.full(reps, theta))
-    # literal streaming fallback: only sensible for schemes whose records
-    # arrive quickly (improving populations) or for moderate n
-    seed = int(rng.integers(0, 2**63 - 1))
-    config = montecarlo.SimulationConfig(
-        family=_exp_base_family(), theta_model=theta_model, n_target=n,
-        replications=reps, master_seed=seed)
-    draws = montecarlo.simulate_records(config)
-    montecarlo.check_truncation(draws)
-    ok = draws.ok
-    prev = draws.values[ok, n - 2] if n > 1 else 0.0
-    return (draws.values[ok, n - 1], prev, np.log(draws.s_inv[ok, n - 1]),
-            draws.thetas[ok, n - 1])
+              rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+    """(values, prev values, log S(T_n)) of the n-th record for the
+    exponential-base record process under constant theta, and that theta;
+    prev values are 0 at n = 1.  Any other scheme is a usage error."""
+    if theta_model.scheme != montecarlo.Scheme.CONSTANT:
+        raise UsageError("the large-n diagnostics need constant theta, "
+                         f"not the {theta_model.scheme.value} scheme")
+    if n < 1 or reps < 1:
+        raise UsageError(f"need n >= 1 and reps >= 1, got n = {n} and reps = {reps}")
+    theta = theta_model.params["value"]
+    # record levels (in units of theta) and float record times from one block
+    # of standard exponential draws, a row per replicate as the engine's chain
+    levels, times = montecarlo.record_chain(rng.standard_exponential((reps, 2 * n - 1)))
+    prev = theta * levels[:, n - 2] if n > 1 else 0.0
+    return theta * levels[:, n - 1], prev, np.log(times[:, n - 1] / theta), theta
 
 
 def normalized_sample(theta_model: montecarlo.ParameterSequenceModel, n: int, reps: int,

@@ -6,6 +6,7 @@ with 3 and numeric failures with 4.
 
 import math
 import numbers
+import sys
 
 
 class RecselError(Exception):
@@ -45,3 +46,9 @@ def finite_number(name: str, value) -> float:
     if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
         raise UsageError(f"{name} must be a finite number, got {value!r}")
     return float(value)
+
+
+def check_array_size(name: str, count: int) -> None:
+    """A usage error unless numpy can size an array of `count` 8-byte values."""
+    if count > sys.maxsize // 8:
+        raise UsageError(f"{name} = {count} values is past what numpy can size; lower the replication count")

@@ -18,7 +18,7 @@ from types import MappingProxyType
 import numpy as np
 
 from . import estimators, families
-from .errors import DataError, NumericError, UsageError, finite_number, whole_number
+from .errors import DataError, NumericError, UsageError, check_array_size, finite_number, whole_number
 from .records import record_mask
 from .streams import replicate_stream
 
@@ -211,7 +211,6 @@ class ThetaStream:
             out += C
             self._ar_prev[rows] = out[:, -1]
         elif scheme == Scheme.STOCHASTIC_GEOMETRIC:
-            idx = (i0[:, None] + np.arange(1, count + 1)).astype(float)
             if self.model.params["redraw_per_index"]:
                 cd = np.empty((rows.size, 2, count))
                 for rng, cd_row in zip(rngs, cd):
@@ -222,11 +221,14 @@ class ThetaStream:
                     if np.isnan(self._geo_cd[0, i]):
                         self._geo_cd[:, i] = rng.random(), rng.random()
                 c, d = self._geo_cd[:, rows, None]
-            # exponent capped to keep the engine finite; it can first bind at
-            # i ~ 7.3e3, long after records usually end a replicate
-            expo = (idx - 1.0) * np.log1p(d / 10.0)
-            self._note(expo > 700.0)
-            out = c * np.exp(np.minimum(expo, 700.0))
+            # exponent (i - 1) log1p(d / 10), in place, capped to keep the engine
+            # finite; it can first bind at i ~ 7.3e3, long after records usually end a replicate
+            out = np.add(i0[:, None], np.arange(count), dtype=float)
+            out *= np.log1p(d / 10.0)
+            self._note(out > 700.0)
+            np.minimum(out, 700.0, out=out)
+            np.exp(out, out=out)
+            out *= c
         elif scheme == Scheme.WHITE_NOISE:
             mean, sd = self.model.params["mean"], self.model.params["sd"]
             out = np.empty(shape)
@@ -284,6 +286,7 @@ class SimulationConfig:
             if value < 1:
                 raise UsageError(f"{name} must be >= 1, got {value}")
             object.__setattr__(self, name, value)
+        check_array_size("replications x n_target", self.replications * self.n_target)
 
     @staticmethod
     def from_json_dict(doc: dict) -> "SimulationConfig":
@@ -306,7 +309,6 @@ class SimulationDraws:
     values: np.ndarray  # (replications, n_target) canonical record values
     thetas: np.ndarray  # theta at the record times
     times: np.ndarray  # record times (int64)
-    s_inv: np.ndarray  # cumulative 1/theta at the record times
     truncated: np.ndarray  # bool per replicate
     observations: np.ndarray  # observations consumed per replicate
     geometric_exponent_clamped: int = 0  # used theta values with a clamped exponent
@@ -356,7 +358,6 @@ def _truncate(draws: SimulationDraws, rows: np.ndarray, observations: int) -> No
     draws.observations[rows] = observations
     draws.values[rows] = np.nan
     draws.thetas[rows] = np.nan
-    draws.s_inv[rows] = np.nan
     draws.times[rows] = 0
 
 
@@ -407,7 +408,6 @@ def _record_chain_rows(config: SimulationConfig, start: int, stop: int, draws: S
     draws.values[out] = theta * levels[ok]
     draws.thetas[out] = theta
     draws.times[out] = t
-    draws.s_inv[out] = t / theta
     draws.observations[out] = t[:, -1]
     _truncate(draws, start + np.flatnonzero(~ok), cap)
     yield 0
@@ -440,7 +440,6 @@ def _simulate_rows(config: SimulationConfig, start: int, stop: int, draws: Simul
     live = np.arange(stop - start)  # rows still short of the n_target-th record
     found = np.zeros(live.size, dtype=np.int64)
     extreme = np.full(live.size, -np.inf)
-    sinv_carry = np.zeros(live.size)
     departures = 0
     offset = 0
     block = _FIRST_BLOCK
@@ -468,10 +467,6 @@ def _simulate_rows(config: SimulationConfig, start: int, stop: int, draws: Simul
                 else:
                     rngs[i].standard_exponential(out=y_row)
             y *= theta
-            sinv = np.divide(1.0, theta)
-            np.cumsum(sinv, axis=1, out=sinv)
-            sinv += sinv_carry[rows, None]
-            sinv_carry[rows] = sinv[:, -1]
             mask, extreme[rows] = record_mask(y, extreme[rows])
             # rank of each record within its row, then within its replicate
             rec_row, rec_col = np.nonzero(mask)
@@ -484,7 +479,6 @@ def _simulate_rows(config: SimulationConfig, start: int, stop: int, draws: Simul
             draws.values[out, rank] = y[rec_row, rec_col]
             draws.thetas[out, rank] = theta[rec_row, rec_col]
             draws.times[out, rank] = offset + rec_col + 1
-            draws.s_inv[out, rank] = sinv[rec_row, rec_col]
             last = rank == n_target - 1
             draws.observations[out[last]] = offset + rec_col[last] + 1
             found[rows] = np.minimum(found[rows] + per_row, n_target)
@@ -495,7 +489,7 @@ def _simulate_rows(config: SimulationConfig, start: int, stop: int, draws: Simul
                 used[rec_row[last]] = rec_col[last] + 1
                 departures += int(np.count_nonzero(hit & (np.arange(b) < used[:, None])))
             # free this group's block before the next group draws its own
-            del theta, y, sinv, mask, hit
+            del theta, y, mask, hit
         offset += b
         block = min(block * 2, _MAX_BLOCK)
         live = live[found[live] < n_target]
@@ -521,7 +515,6 @@ def simulate_records(config: SimulationConfig, threads: int = 1) -> SimulationDr
         values=np.full((reps, n), np.nan),
         thetas=np.full((reps, n), np.nan),
         times=np.zeros((reps, n), dtype=np.int64),
-        s_inv=np.full((reps, n), np.nan),
         truncated=np.zeros(reps, dtype=bool),
         observations=np.zeros(reps, dtype=np.int64),
         sampler="record_chain" if chain else "stream")

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import output
-from .errors import DataError, DomainError, UsageError, whole_number
+from .errors import DataError, DomainError, UsageError, check_array_size, whole_number
 from .streams import substream
 
 _ROW_STREAM_TAG = 7001  # stream namespace for per-row null simulation
@@ -171,6 +171,7 @@ def critical_values(n_values, alphas, replications: int, master_seed: int,
     n_values, alphas = _check_axes(n_values, sorted(set(alphas)), UsageError)
     if replications < 1000:
         raise UsageError("need at least 1000 replications for quantile estimation")
+    check_array_size("replications", replications)
 
     quantiles = np.empty((len(n_values), len(alphas)))
 
@@ -181,11 +182,8 @@ def critical_values(n_values, alphas, replications: int, master_seed: int,
         # order, so the split does not change the draws
         block = min(1 << 17, max(1, (1 << 21) // n))
         draws = np.empty(replications)
-        pos = 0
-        while pos < replications:
-            count = min(block, replications - pos)
-            draws[pos:pos + count] = _null_T_block(n, count, rng)
-            pos += count
+        for pos in range(0, replications, block):
+            draws[pos:pos + block] = _null_T_block(n, min(block, replications - pos), rng)
         draws.sort()
         quantiles[i] = [_sorted_quantile(draws, a) for a in alphas]
 

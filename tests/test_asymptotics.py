@@ -84,13 +84,6 @@ class TestNormalizedSample:
         assert u_n.shape == u_p.shape == (500,)
         assert np.all(u_n > u_p)
 
-    def test_streaming_fallback_for_improving_scheme(self):
-        rng = np.random.default_rng(15)
-        u_n, u_p, t_star = asymptotics.normalized_sample(
-            ParameterSequenceModel.stochastic_geometric(), 6, 2000, rng)
-        assert np.all(np.isfinite(u_n)) and np.all(np.isfinite(u_p)) and np.all(np.isfinite(t_star))
-        assert np.all(u_n > u_p)
-
 
 class TestFrechetCorrelation:
     def test_trend_and_threshold(self):
@@ -128,10 +121,9 @@ class TestRiskRate:
         rng = np.random.default_rng(20)
         (first,) = asymptotics.risk_rate(CONST, [1], 2 * 10**4, rng)
         assert abs(first.risk - 1.0) < 4 * first.se
-        points = asymptotics.risk_rate(ParameterSequenceModel.stochastic_geometric(), [1, 3], 2000, rng)
-        assert [p.n for p in points] == [1, 3]
-        assert all(np.isfinite(p.risk) and p.risk > 0 for p in points)
-        assert points[1].rate == points[1].risk / 3
+        # no other scheme is simulated: the diagnostics need constant theta
+        with pytest.raises(UsageError, match="stochastic_geometric"):
+            asymptotics.risk_rate(ParameterSequenceModel.stochastic_geometric(), [1, 3], 2000, rng)
 
     def test_identity_anchor_under_changing_thetas(self):
         # risk of the spacing estimator equals E[theta_selected^2] at finite n
@@ -146,6 +138,22 @@ class TestRiskRate:
         diff = err2 - draws.thetas[ok, 2] ** 2
         se = diff.std(ddof=1) / math.sqrt(diff.size)
         assert abs(diff.mean()) < 4 * se
+
+
+@pytest.mark.parametrize("diagnostic", [
+    lambda model, rng: asymptotics.normalized_sample(model, 5, 100, rng),
+    lambda model, rng: asymptotics.frechet_correlation(model, 5, 100, rng),
+    lambda model, rng: asymptotics.risk_rate(model, [5], 100, rng),
+], ids=["normalized_sample", "frechet_correlation", "risk_rate"])
+@pytest.mark.parametrize("model", [
+    ParameterSequenceModel.ar_positive_error(),
+    ParameterSequenceModel.stochastic_geometric(),
+    ParameterSequenceModel.white_noise(),
+    ParameterSequenceModel.user_supplied([1.0, 2.0, 3.0]),
+], ids=lambda m: m.scheme.value)
+def test_non_constant_schemes_are_usage_errors(diagnostic, model):
+    with pytest.raises(UsageError, match=model.scheme.value):
+        diagnostic(model, np.random.default_rng(0))
 
 
 class TestJointCdfFormula:

@@ -513,20 +513,42 @@ class TestCritvalsCommand:
         assert blobs[0] == blobs[1] == blobs[2]
 
 
-@pytest.mark.parametrize("command", ["simulate", "critvals"])
-def test_counts_past_memory_are_usage_errors(tmp_path, capsys, command):
-    """10**15 replications pass every count check; the allocation numpy
-    refuses is a usage error (exit 2) that names it, not a traceback."""
+PAST_SIZE = 10**20  # past sys.maxsize // 8 values: no array of it can be sized
+
+
+@pytest.mark.parametrize("command, counts, expect", [
+    pytest.param("simulate", {"replications": 10**15}, "Unable to allocate", id="simulate"),
+    pytest.param("critvals", 10**15, "Unable to allocate", id="critvals"),
+    pytest.param("simulate", {"replications": PAST_SIZE}, "replications x n_target",
+                 id="simulate replications 1e20"),
+    pytest.param("simulate", {"n_target": PAST_SIZE}, "replications x n_target",
+                 id="simulate n_target 1e20"),
+    # each count alone fits, their product does not
+    pytest.param("simulate", {"replications": 2**40, "n_target": 2**30},
+                 "replications x n_target", id="simulate product past size"),
+    pytest.param("critvals", PAST_SIZE, "replications", id="critvals 1e20"),
+    pytest.param("test", PAST_SIZE, "replications", id="test 1e20"),
+])
+def test_counts_past_memory_are_usage_errors(tmp_path, capsys, command, counts, expect):
+    """Counts that pass every other check but whose arrays numpy cannot
+    allocate (10**15 replications) or cannot even size are usage errors
+    (exit 2) that name them, not tracebacks.  `counts` holds config fields
+    for simulate and the --reps value otherwise."""
     out = tmp_path / "o"
     if command == "simulate":
         config = tmp_path / "config.json"
-        config.write_text(config_text("replications", "1e15"), encoding="utf-8")
+        config.write_text(json.dumps(dict(GOOD_CONFIG, **counts)), encoding="utf-8")
         argv = ["simulate", "--config", str(config)]
+    elif command == "critvals":
+        argv = ["critvals", "--n-min", "2", "--n-max", "3", "--reps", str(counts)]
     else:
-        argv = ["critvals", "--n-min", "2", "--n-max", "3", "--reps", str(10**15)]
+        data = tmp_path / "seq.txt"
+        write_sequence(data, [1, 2, 3])
+        argv = ["test", "--input", str(data), "--family",
+                '{"kind": "proportional_hazard", "member": "exponential"}', "--reps", str(counts)]
     assert run(*argv, "--out", str(out)) == 2
     err = capsys.readouterr().err
-    assert "Unable to allocate" in err and "lower the replication count" in err
+    assert expect in err and "lower the replication count" in err
 
 
 class TestAlphaOutsideUnitInterval:

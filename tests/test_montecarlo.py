@@ -178,8 +178,6 @@ class TestRunReplicate:
         d = montecarlo.simulate_records(cfg)
         assert np.all(np.diff(d.values[0]) > 0)
         assert np.all(np.diff(d.times[0]) > 0)
-        assert d.s_inv[0].shape == (4,)
-        assert np.all(np.diff(d.s_inv[0]) > 0)
 
     def test_truncation_flagged(self):
         cfg = SimulationConfig(family=exp_family(), theta_model=ParameterSequenceModel.constant(1.0),
@@ -394,7 +392,6 @@ def reference_simulate(config: SimulationConfig) -> montecarlo.SimulationDraws:
     values = np.full((reps, n_target), np.nan)
     thetas = np.full((reps, n_target), np.nan)
     times = np.zeros((reps, n_target), dtype=np.int64)
-    s_inv = np.full((reps, n_target), np.nan)
     truncated = np.zeros(reps, dtype=bool)
     observations = np.zeros(reps, dtype=np.int64)
     user = config.theta_model.scheme == Scheme.USER_SUPPLIED
@@ -406,7 +403,7 @@ def reference_simulate(config: SimulationConfig) -> montecarlo.SimulationDraws:
         rng = np.random.Generator(np.random.Philox(key=key).jumped(r))
         stream = reference_thetas(config.theta_model, rng)
         next(stream)
-        found, offset, cur_max, sinv_carry, block = 0, 0, -np.inf, 0.0, montecarlo._FIRST_BLOCK
+        found, offset, cur_max, block = 0, 0, -np.inf, montecarlo._FIRST_BLOCK
         while found < n_target and offset < cap:
             b = min(block, cap - offset)
             if user:
@@ -421,13 +418,12 @@ def reference_simulate(config: SimulationConfig) -> montecarlo.SimulationDraws:
                 y = rng.standard_gamma(config.family.shape_p, b) * theta
             else:
                 y = rng.standard_exponential(b) * theta
-            sinv = sinv_carry + np.cumsum(1.0 / theta)
             running = np.maximum.accumulate(y)
             prev = np.empty(b)
             prev[0] = cur_max
             prev[1:] = np.maximum(running[:-1], cur_max)
             for i in np.flatnonzero(y > prev)[: n_target - found]:
-                values[r, found], thetas[r, found], s_inv[r, found] = y[i], theta[i], sinv[i]
+                values[r, found], thetas[r, found] = y[i], theta[i]
                 times[r, found] = offset + int(i) + 1
                 found += 1
             if found == n_target:
@@ -436,14 +432,13 @@ def reference_simulate(config: SimulationConfig) -> montecarlo.SimulationDraws:
                 break
             departures += int(np.count_nonzero(departed))
             cur_max = max(cur_max, float(running[-1]))
-            sinv_carry = float(sinv[-1])
             offset += b
             block = min(block * 2, montecarlo._MAX_BLOCK)
         else:
             truncated[r], observations[r] = True, offset
-            values[r] = thetas[r] = s_inv[r] = np.nan
+            values[r] = thetas[r] = np.nan
             times[r] = 0
-    draws = montecarlo.SimulationDraws(values, thetas, times, s_inv, truncated, observations)
+    draws = montecarlo.SimulationDraws(values, thetas, times, truncated, observations)
     if config.theta_model.scheme == Scheme.STOCHASTIC_GEOMETRIC:
         draws.geometric_exponent_clamped = departures
     elif config.theta_model.scheme == Scheme.WHITE_NOISE:
@@ -451,7 +446,7 @@ def reference_simulate(config: SimulationConfig) -> montecarlo.SimulationDraws:
     return draws
 
 
-DRAW_FIELDS = ("values", "thetas", "times", "s_inv", "truncated", "observations")
+DRAW_FIELDS = ("values", "thetas", "times", "truncated", "observations")
 COUNTERS = ("geometric_exponent_clamped", "white_noise_redraws")
 
 FAMILIES = (families.gamma_type(Member.GAMMA, p=0.5), families.gamma_type(Member.GAMMA, p=2.0),
@@ -706,8 +701,6 @@ class TestRecordChain:
     def test_fields_follow_the_record_times(self):
         draws = montecarlo.simulate_records(constant_config(exp_family(), 2.5, 63))
         ok = draws.ok
-        # streaming cumulates 1/theta, which rounds differently: not compared
-        assert np.array_equal(draws.s_inv[ok], draws.times[ok] / 2.5)
         assert np.all(draws.thetas[ok] == 2.5)
         assert np.array_equal(draws.observations[ok], draws.times[ok, -1])
         assert np.all(draws.times[ok, 0] == 1) and np.all(np.diff(draws.times[ok]) > 0)
@@ -723,7 +716,7 @@ class TestRecordChain:
         assert abs(a - b) < 4 * math.sqrt(2 * f * (1 - f) / reps)
         cut = chain.truncated
         assert np.all(chain.observations[cut] == 40) and np.all(chain.times[cut] == 0)
-        assert np.all(np.isnan(chain.values[cut])) and np.all(np.isnan(chain.s_inv[cut]))
+        assert np.all(np.isnan(chain.values[cut]))
         assert np.all(chain.observations[~cut] <= 40)
 
     @pytest.mark.parametrize("n_target", [170, 800])  # 800: exp(-level) underflows
