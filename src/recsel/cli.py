@@ -4,8 +4,10 @@ Subcommands: records, estimate, simulate, critvals, test, demo-rainfall.
 Numeric output on stdout and in CSV files carries 6 significant digits;
 JSON files retain full precision.  Every run writes a manifest recording the
 resolved configuration, the master seed and input digests, and seeded runs
-are byte-identical for any --threads value.  Building the parser imports
-no numpy; each subcommand imports the recsel modules it runs, when it runs.
+are byte-identical for any --threads value.  `main` creates --out before a
+subcommand runs and prints the manifest line after it returns the manifest
+path.  Building the parser imports no numpy; each subcommand imports the
+recsel modules it runs, when it runs.
 
 Exit codes: 0 success, 2 usage error, 3 data error, 4 numeric error.
 """
@@ -151,31 +153,25 @@ def _load_table(path: str) -> stationarity.CriticalValueTable:
         raise DataError(f"table file {path}: {exc}") from None
 
 
-def _write_manifest(outdir: Path, subcommand: str, config: dict,
-                    master_seed: int | None, inputs: list[Path], outputs: list[Path],
-                    counters: dict | None = None) -> Path:
-    digests = {str(p): _sha256(p) for p in inputs if p is not None and Path(p).exists()}
+def _write_manifest(args, config: dict, master_seed: int | None, inputs: list,
+                    outputs: list[Path], counters: dict | None = None) -> Path:
+    """Write manifest.json into --out; inputs that are None, '' or missing get no digest."""
+    inputs = [Path(p) for p in inputs if p]
     doc = {
-        "subcommand": subcommand,
+        "subcommand": args.subcommand,
         "config": config,
         "master_seed": master_seed,
         "tool_version": __version__,
-        "input_digests": digests,
+        "input_digests": {str(p): _sha256(p) for p in inputs if p.exists()},
         # basenames: output files live beside the manifest, and recording
         # absolute paths would make reruns in fresh directories differ
         "outputs": [Path(p).name for p in outputs],
     }
     if counters is not None:
         doc["counters"] = counters  # seed-determined, so reruns stay identical
-    path = outdir / "manifest.json"
+    path = args.out / "manifest.json"
     output.write_json(path, doc)
     return path
-
-
-def _outdir(args) -> Path:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
 
 
 def _resolve_input(path: str) -> str:
@@ -194,9 +190,8 @@ def _write_records(path: Path, rec: records.RecordSet) -> None:
 # subcommands
 
 
-def cmd_records(args) -> int:
+def cmd_records(args) -> Path:
     from . import families, records
-    outdir = _outdir(args)
     in_path = _resolve_input(args.input)
     seq = _load_sequence(in_path, args.column)
     if args.family:
@@ -209,21 +204,17 @@ def cmd_records(args) -> int:
     else:
         fam_path = None
         rec = records.extract_records(seq, args.direction)
-    out_csv = outdir / "records.csv"
+    out_csv = args.out / "records.csv"
     _write_records(out_csv, rec)
-    manifest = _write_manifest(outdir, "records",
-                               {"input": str(in_path), "direction": str(args.direction),
-                                "family": args.family, "column": args.column},
-                               None, [Path(in_path)] + ([fam_path] if fam_path else []),
-                               [out_csv])
+    manifest = _write_manifest(args, {"input": str(in_path), "direction": str(args.direction),
+                                      "family": args.family, "column": args.column},
+                               None, [in_path, fam_path], [out_csv])
     print(f"{len(rec)} records out of {rec.source_length} observations -> {out_csv}")
-    print(f"manifest: {manifest}")
-    return 0
+    return manifest
 
 
-def cmd_estimate(args) -> int:
+def cmd_estimate(args) -> Path:
     from . import estimators, families, records
-    outdir = _outdir(args)
     in_path = _resolve_input(args.input)
     seq = _load_sequence(in_path, args.column)
     family, fam_path = _load_family(args.family)
@@ -232,20 +223,17 @@ def cmd_estimate(args) -> int:
     if not stationary and len(canon) < 2:
         raise UsageError("fewer than 2 records: the nonstationary path needs at least two")
     reports = estimators.estimate_path(canon, family, stationary, args.band_factor)
-    out_csv = outdir / "estimates.csv"
+    out_csv = args.out / "estimates.csv"
     output.write_csv(out_csv, ESTIMATE_HEADER, [r.to_csv_row() for r in reports])
-    out_json = outdir / "estimates.json"
+    out_json = args.out / "estimates.json"
     output.write_json(out_json, [r.to_json_dict() for r in reports])
-    manifest = _write_manifest(outdir, "estimate",
-                               {"input": str(in_path), "family": families.to_json_dict(family),
-                                "model": args.model, "band_factor": args.band_factor},
-                               None, [Path(in_path)] + ([fam_path] if fam_path else []),
-                               [out_csv, out_json])
+    manifest = _write_manifest(args, {"input": str(in_path), "family": families.to_json_dict(family),
+                                      "model": args.model, "band_factor": args.band_factor},
+                               None, [in_path, fam_path], [out_csv, out_json])
     for r in reports:
         print(f"n={r.n} {r.estimator_id.value} estimate={fmt(r.estimate)} "
               f"risk={fmt(r.risk_estimate)} band=({fmt(r.band[0])}, {fmt(r.band[1])})")
-    print(f"manifest: {manifest}")
-    return 0
+    return manifest
 
 
 def _load_simulation_config(path: str, seed_override: int | None) -> tuple[montecarlo.SimulationConfig, list[int], dict]:
@@ -282,14 +270,13 @@ def _cell_list(cells) -> str:
                      for name, ns in runs.items())
 
 
-def cmd_simulate(args) -> int:
+def cmd_simulate(args) -> Path:
     from . import montecarlo
-    outdir = _outdir(args)
     config, n_values, doc = _load_simulation_config(args.config, args.seed)
     summary = montecarlo.bias_risk_table(config, threads=args.threads)
-    out_csv = outdir / "simulate_summary.csv"
+    out_csv = args.out / "simulate_summary.csv"
     output.write_csv(out_csv, montecarlo.CSV_HEADER, summary.to_csv_rows(n_values))
-    out_json = outdir / "simulate_summary.json"
+    out_json = args.out / "simulate_summary.json"
     output.write_json(out_json, summary.to_json_dict())
     if config.replications == 1:
         print("warning: single replicate, standard errors undefined (reported as nan)",
@@ -300,41 +287,36 @@ def cmd_simulate(args) -> int:
             "truncated", "geometric_exponent_clamped", "white_noise_redraws"))
         print(f"warning: {len(bad)} of {len(summary.cells)} table cells are not finite "
               f"({_cell_list(bad)}); departures from the model: {departures}", file=sys.stderr)
-    manifest = _write_manifest(outdir, "simulate",
-                               {"config": doc, "master_seed": config.master_seed},
-                               config.master_seed, [Path(args.config)], [out_csv, out_json],
+    manifest = _write_manifest(args, {"config": doc, "master_seed": config.master_seed},
+                               config.master_seed, [args.config], [out_csv, out_json],
                                counters=summary.counters)
     for c in summary.cells:
         if c.n in n_values:
             print(f"{c.estimator.value} n={c.n} bias={fmt(c.bias)} risk={fmt(c.risk)} "
                   f"se_bias={fmt(c.se_bias)} se_risk={fmt(c.se_risk)}")
     print(f"truncated fraction: {fmt(summary.truncation_fraction)}")
-    print(f"manifest: {manifest}")
-    return 0
+    return manifest
 
 
-def cmd_critvals(args) -> int:
+def cmd_critvals(args) -> Path:
     from . import stationarity
-    outdir = _outdir(args)
     if args.reps < 10000:
         print("warning: fewer than 1e4 replications; quantiles carry wide Monte Carlo error",
               file=sys.stderr)
     table = stationarity.critical_values(
         range(args.n_min, args.n_max + 1), args.alphas, args.reps, args.seed,
         threads=args.threads)
-    out_csv = outdir / "critvals.csv"
+    out_csv = args.out / "critvals.csv"
     table.to_csv(out_csv)
-    out_json = outdir / "critvals.json"
+    out_json = args.out / "critvals.json"
     table.to_json(out_json)
-    manifest = _write_manifest(outdir, "critvals",
-                               {"n_min": args.n_min, "n_max": args.n_max,
-                                "alphas": list(args.alphas), "reps": args.reps},
+    manifest = _write_manifest(args, {"n_min": args.n_min, "n_max": args.n_max,
+                                      "alphas": list(args.alphas), "reps": args.reps},
                                args.seed, [], [out_csv, out_json])
     print("n " + " ".join(fmt(a) for a in table.alphas))
     for i, n in enumerate(table.n_values):
         print(f"{n} " + " ".join(fmt(float(q)) for q in table.quantiles[i]))
-    print(f"manifest: {manifest}")
-    return 0
+    return manifest
 
 
 def _run_test(canon: records.RecordSet, alpha: float, table_path: str | None, seed: int,
@@ -364,9 +346,8 @@ def _run_test(canon: records.RecordSet, alpha: float, table_path: str | None, se
     }
 
 
-def cmd_test(args) -> int:
+def cmd_test(args) -> Path:
     from . import families, records
-    outdir = _outdir(args)
     in_path = Path(_resolve_input(args.input))
     seq = _load_sequence(in_path, args.column)
     family, fam_path = _load_family(args.family)
@@ -376,25 +357,21 @@ def cmd_test(args) -> int:
                          f"need p = 1, got p = {fmt(family.shape_p)}")
     canon = records.canonical_records(seq, family)
     report = _run_test(canon, args.alpha, args.table, args.seed, args.reps, args.threads)
-    out_json = outdir / "test_report.json"
+    out_json = args.out / "test_report.json"
     output.write_json(out_json, report)
-    inputs = [in_path] + ([fam_path] if fam_path else []) + ([Path(args.table)] if args.table else [])
-    manifest = _write_manifest(outdir, "test",
-                               {"input": str(in_path), "family": families.to_json_dict(family),
-                                "alpha": args.alpha, "table": args.table,
-                                "table_reps": report["table_replications"],
-                                "table_master_seed": report["table_master_seed"]},
-                               args.seed, inputs, [out_json])
+    manifest = _write_manifest(args, {"input": str(in_path), "family": families.to_json_dict(family),
+                                      "alpha": args.alpha, "table": args.table,
+                                      "table_reps": report["table_replications"],
+                                      "table_master_seed": report["table_master_seed"]},
+                               args.seed, [in_path, fam_path, args.table], [out_json])
     print(f"T = {fmt(report['T'])} with n = {report['n']} records")
     print(f"t_n(alpha={fmt(args.alpha)}) = {fmt(report['critical_value'])}")
     print(f"decision: {report['decision']}")
-    print(f"manifest: {manifest}")
-    return 0
+    return manifest
 
 
-def cmd_demo_rainfall(args) -> int:
+def cmd_demo_rainfall(args) -> Path:
     from . import datasets, estimators, families, records
-    outdir = _outdir(args)
     family = datasets.rainfall_family()
     in_path = Path(datasets.rainfall_records_path())
     seq = _load_sequence(in_path)
@@ -406,17 +383,16 @@ def cmd_demo_rainfall(args) -> int:
             for r in estimators.estimate_path(canon, family, stationary, args.band_factor)]
     report = _run_test(canon, args.alpha, args.table, args.seed, args.reps, args.threads)
 
-    out_records = outdir / "rainfall_records.csv"
+    out_records = args.out / "rainfall_records.csv"
     _write_records(out_records, rec)
-    out_paths = outdir / "rainfall_estimates.csv"
+    out_paths = args.out / "rainfall_estimates.csv"
     output.write_csv(out_paths, ["hypothesis"] + ESTIMATE_HEADER, rows)
-    out_json = outdir / "rainfall_test.json"
+    out_json = args.out / "rainfall_test.json"
     output.write_json(out_json, report)
 
-    manifest = _write_manifest(outdir, "demo-rainfall",
-                               {"dataset": datasets.RAINFALL_DATASET,
-                                "family": families.to_json_dict(family),
-                                "alpha": args.alpha, "band_factor": args.band_factor},
+    manifest = _write_manifest(args, {"dataset": datasets.RAINFALL_DATASET,
+                                      "family": families.to_json_dict(family),
+                                      "alpha": args.alpha, "band_factor": args.band_factor},
                                args.seed, [in_path], [out_records, out_paths, out_json])
     print(f"dataset: {datasets.RAINFALL_DATASET} ({len(rec)} records)")
     print(f"record values: " + " ".join(fmt(float(v)) for v in rec.values))
@@ -425,8 +401,7 @@ def cmd_demo_rainfall(args) -> int:
     print("note: the goodness-of-fit p-value for the fitted cdf cannot be recomputed "
           "here because only the record sequence is bundled, not the raw 100-year series")
     print(f"outputs: {out_records} {out_paths} {out_json}")
-    print(f"manifest: {manifest}")
-    return 0
+    return manifest
 
 
 # ---------------------------------------------------------------------------
@@ -509,8 +484,14 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     args.threads = min(args.threads or 8, os.cpu_count() or 1)
+    args.out = Path(args.out)
     try:
-        return args.func(args)
+        try:
+            args.out.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise UsageError(f"--out {args.out} is not a usable directory: {exc.strerror or exc}") from None
+        print(f"manifest: {args.func(args)}")
+        return 0
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2

@@ -255,12 +255,6 @@ class ThetaStream:
         if hit.any():
             self.departed = hit
 
-    def remaining(self) -> int | None:
-        """How many more values every row can produce (None = unbounded)."""
-        if self.model.scheme == Scheme.USER_SUPPLIED:
-            return self._user.size - int(self._index.max())
-        return None
-
 
 # ---------------------------------------------------------------------------
 # replicate engine
@@ -417,7 +411,8 @@ def _simulate_rows(config: SimulationConfig, start: int, stop: int, draws: Simul
                    pool: list):
     """Generator that advances replicates start..stop-1 together through the
     block schedule until each reaches the n_target-th canonical record or
-    max_observations.  It yields None before the first block of at least
+    max_observations; a user-supplied theta list that runs out first is a
+    DataError.  It yields None before the first block of at least
     _BATCH_ELEMENTS observations, whose draw calls and ufuncs are long and
     release the GIL, so that the caller may resume it on a worker.  Last it
     yields how many theta values the rows used left the model (ThetaStream
@@ -432,6 +427,8 @@ def _simulate_rows(config: SimulationConfig, start: int, stop: int, draws: Simul
     """
     n_target = config.n_target
     cap = config.max_observations
+    if config.theta_model.scheme == Scheme.USER_SUPPLIED:
+        cap = min(cap, len(config.theta_model.params["thetas"]))
     rngs = _batch_streams(config, start, stop, pool)
     theta_stream = ThetaStream(config.theta_model, rngs)
     gamma_kind = config.family.kind == families.Kind.GAMMA_TYPE
@@ -446,13 +443,6 @@ def _simulate_rows(config: SimulationConfig, start: int, stop: int, draws: Simul
     short = True  # no block of _BATCH_ELEMENTS observations yet
     while live.size and offset < cap:
         b = min(block, cap - offset)
-        left = theta_stream.remaining()
-        if left is not None:
-            if left == 0:
-                raise DataError(
-                    f"user-supplied theta list exhausted after {offset} observations "
-                    f"before record {n_target}")
-            b = min(b, left)
         if short and b >= _BATCH_ELEMENTS:
             short = False
             yield
@@ -493,6 +483,9 @@ def _simulate_rows(config: SimulationConfig, start: int, stop: int, draws: Simul
         offset += b
         block = min(block * 2, _MAX_BLOCK)
         live = live[found[live] < n_target]
+    if live.size and offset < config.max_observations:  # a user-supplied list ran out
+        raise DataError(f"user-supplied theta list exhausted after {offset} observations "
+                        f"before record {n_target}")
     _truncate(draws, start + live, offset)  # rows that hit max_observations first
     yield departures
 

@@ -754,6 +754,63 @@ class TestTableFile:
         assert str(table) in err
 
 
+class TestUnwritableOutput:
+    """An --out that names a file or lies under one, and an output file that
+    cannot be written, are usage errors (exit 2) that name the path."""
+
+    COMMANDS = {
+        "records": ["records", "--input", "lacc-rainfall-records"],
+        "estimate": ["estimate", "--input", "lacc-rainfall-records",
+                     "--family", "lacc-rainfall-records"],
+        "simulate": ["simulate", "--config", "<config>"],
+        "critvals": ["critvals", "--reps", "1000", "--n-max", "2"],
+        "test": ["test", "--input", "lacc-rainfall-records", "--family", "lacc-rainfall-records",
+                 "--table", "<table>"],
+        "demo-rainfall": ["demo-rainfall", "--reps", "1000"],
+    }
+
+    @pytest.mark.parametrize("shape, reason", [
+        pytest.param("file", "File exists", id="file"),
+        pytest.param("under-file", "Not a directory", id="under-file"),
+    ])
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_out_that_is_not_a_directory(self, tmp_path, capsys, command, shape, reason):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(GOOD_CONFIG), encoding="utf-8")
+        table = tmp_path / "table.csv"
+        table.write_text("n,0.05\n8,2698.59\n", encoding="utf-8")
+        blocker = tmp_path / "F"
+        blocker.write_text("keep\n", encoding="utf-8")
+        out = blocker if shape == "file" else blocker / "sub"
+        argv = [{"<config>": str(config), "<table>": str(table)}.get(a, a)
+                for a in self.COMMANDS[command]]
+        assert run(*argv, "--out", str(out)) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"usage error: --out {out} is not a usable directory: {reason}\n"
+        assert captured.out == ""
+        assert blocker.read_text(encoding="utf-8") == "keep\n"
+
+    def test_output_file_that_is_a_directory(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        (out / "records.csv").mkdir(parents=True)
+        assert run("records", "--input", "lacc-rainfall-records", "--out", str(out)) == 2
+        captured = capsys.readouterr()
+        assert captured.err == (f"usage error: cannot write output file {out / 'records.csv'}: "
+                                f"Is a directory\n")
+        assert captured.out == ""
+        assert not (out / "manifest.json").exists()
+
+    def test_manifest_that_is_a_directory(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        (out / "manifest.json").mkdir(parents=True)
+        assert run("critvals", "--reps", "1000", "--n-max", "3", "--out", str(out)) == 2
+        captured = capsys.readouterr()
+        assert captured.err.endswith(f"usage error: cannot write output file "
+                                     f"{out / 'manifest.json'}: Is a directory\n")
+        assert captured.out == ""  # the table prints after the manifest is written
+        assert (out / "critvals.csv").is_file() and (out / "critvals.json").is_file()
+
+
 IMPORT_GUARD = textwrap.dedent("""
     import json, sys
     from pathlib import Path

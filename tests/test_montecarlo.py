@@ -651,6 +651,21 @@ class TestMatchesReference:
         message = self.assert_same(config)
         assert message == "user-supplied theta list exhausted after 100 observations before record 40"
 
+    @pytest.mark.parametrize("length", [pytest.param(100, id="list equals cap"),
+                                        pytest.param(150, id="list past cap")])
+    def test_theta_list_reaching_the_cap_truncates(self, length):
+        """A theta list that lasts to max_observations truncates the rows
+        short of record n at the cap, as any other model does."""
+        config = SimulationConfig(family=exp_family(),
+                                  theta_model=ParameterSequenceModel.user_supplied(
+                                      [0.5 + i % 4 for i in range(length)]),
+                                  n_target=6, replications=130, master_seed=52,
+                                  max_observations=100)
+        self.assert_same(config)
+        draws = montecarlo.simulate_records(config)
+        assert draws.truncated.any() and not draws.truncated.all()
+        assert (draws.observations[draws.truncated] == 100).all()
+
 
 class TestBatchedThetaStream:
     @settings(max_examples=40, deadline=None)
